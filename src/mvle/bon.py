@@ -16,6 +16,10 @@ from scipy.spatial.distance import cdist
 
 from .errors import ClassCountMismatchError, KTooLargeError, LabelOutOfRangeError
 
+# Distance entries computed at a time by ``knn``: its working memory stays
+# near 8 * KNN_CHUNK_ENTRIES bytes whatever the sample count.
+KNN_CHUNK_ENTRIES = 1 << 22
+
 
 @dataclass(frozen=True)
 class NeighborTable:
@@ -56,7 +60,8 @@ def knn(x, k: int) -> NeighborTable:
     """K nearest neighbors of every row of ``x`` by Euclidean distance.
 
     The sample itself is excluded. Distance ties break deterministically
-    toward the lower row index.
+    toward the lower row index. Distances are computed a block of rows at a
+    time, so memory grows with ``n``, not ``n**2``.
 
     Raises
     ------
@@ -69,11 +74,20 @@ def knn(x, k: int) -> NeighborTable:
     n = m.shape[0]
     if not 1 <= k <= n - 1:
         raise KTooLargeError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
-    dist = cdist(m, m)
-    np.fill_diagonal(dist, np.inf)
-    # Stable sort keeps equal-distance candidates in ascending index order.
-    order = np.argsort(dist, axis=1, kind="stable")
-    return NeighborTable(indices=order[:, :k].astype(np.int64), k=k)
+    indices = np.empty((n, k), dtype=np.int64)
+    step = max(1, KNN_CHUNK_ENTRIES // n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        dist = cdist(m[rows], m)
+        dist[np.arange(rows.size), rows] = np.inf
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        # Every candidate at or below the k-th distance, ordered by row, then
+        # distance, then index; each row has at least k of them.
+        r, c = np.nonzero(dist <= kth[:, None])
+        order = np.lexsort((c, dist[r, c], r))
+        first = np.searchsorted(r, np.arange(rows.size))
+        indices[rows] = c[order][first[:, None] + np.arange(k)]
+    return NeighborTable(indices=indices, k=k)
 
 
 def bon_vectors(table: NeighborTable, labels, class_count: int) -> BonMatrix:

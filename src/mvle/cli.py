@@ -416,11 +416,12 @@ def cmd_embed(cfg: dict) -> int:
     if cfg.get("dump_graph"):
         graph_path = os.path.join(cfg["out_dir"], "graph_w.csv")
         with open(graph_path, "w", encoding="utf-8") as fh:
-            for row in art.graph.w:
+            for row in art.graph.dense().w:
                 fh.write(",".join(repr(float(v)) for v in row))
                 fh.write("\n")
         paths.append(graph_path)
-    xi = embedding.objective(emb.y, art.graph)
+    # Y^T D Y = I makes the double sum of W_ab ||y_a - y_b||^2 equal 2 * sum(lambda).
+    xi = 2.0 * float(emb.eigenvalues.sum())
     print(
         f"embed: N={emb.y.shape[0]} dim={emb.dim} objective={xi:.6f} "
         f"-> {', '.join(paths)}"

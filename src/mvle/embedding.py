@@ -1,11 +1,20 @@
 """Multi-view Laplacian eigenmap over the joint BON-weighted graph.
 
 The fit normalizes each view, builds per-view K-nearest-neighbor tables
-and bag-of-neighbors vectors, assembles the joint weight graph, and solves
-the generalized eigenproblem L y = lambda D y. The all-ones direction
-(eigenvalue 0) is dropped and the next ``dim`` eigenvectors, scaled so
-Y^T D Y = I, become the embedding. Row blocks of Y map back to the views
-in input order.
+and bag-of-neighbors vectors, assembles the joint weight graph in cell form
+(see :mod:`mvle.graph`), and solves the generalized eigenproblem
+L y = lambda D y. The all-ones direction (eigenvalue 0) is dropped and the
+next ``dim`` eigenvectors, scaled so Y^T D Y = I, become the embedding. Row
+blocks of Y map back to the views in input order.
+
+The eigenproblem is solved exactly on the m×m quotient over the
+(BON vector, label) cells, and its eigenvectors are expanded to samples
+through the cell index. The quotient misses only the within-cell
+eigenvalues ``1 + w_qq / d_q`` (all >= 1), so it gives the dense answer
+unless the requested eigenvalues reach them: when m < dim + 1, or when the
+quotient eigenvalue at ``dim`` is within 1e-8 of the smallest within-cell
+eigenvalue of a cell with two or more samples, the fit solves the dense
+N×N problem from :meth:`mvle.graph.CellGraph.dense` instead.
 """
 
 from __future__ import annotations
@@ -21,10 +30,13 @@ from scipy.spatial.distance import cdist
 from . import bon as bon_mod
 from .dataset import MultiViewDataset, NormStats, zscore_normalize
 from .errors import ClassTooSmallError, DimTooLargeError
-from .graph import WeightGraph, build_weight_graph
-from .linalg import generalized_eig_diag
+from .graph import CellGraph, WeightGraph, build_weight_graph
+from .linalg import _fix_signs, generalized_eig_diag
 
 ZERO_EIGENVALUE_TOL = 1e-8
+# How close the quotient eigenvalue at ``dim`` may come to the within-cell
+# band before the fit falls back to the dense problem.
+BAND_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,7 +54,7 @@ class FitArtifacts:
     """Everything the fit derived along the way, kept for reuse downstream."""
 
     bons: tuple[bon_mod.BonMatrix, ...]
-    graph: WeightGraph
+    graph: CellGraph
     norm_stats: tuple[NormStats, ...]
     k: int
     t: float
@@ -99,7 +111,13 @@ def fit(
         bons.append(bon_mod.bon_vectors(table, view.labels, ds.class_count))
 
     graph = build_weight_graph(bons, [v.labels for v in ds.views], heat_t)
-    eig = generalized_eig_diag(graph.laplacian, graph.degrees)
+    eig = generalized_eig_diag(*graph.quotient())
+    if graph.m < dim + 1 or eig.values[dim] >= graph.within_cell_band() - BAND_TOL:
+        dense = graph.dense()
+        eig = generalized_eig_diag(dense.laplacian, dense.degrees)
+        y = eig.vectors[:, 1 : dim + 1].copy()
+    else:
+        y = _fix_signs(eig.vectors[graph.cell_index, 1 : dim + 1])
 
     near_zero = int(np.count_nonzero(eig.values < ZERO_EIGENVALUE_TOL))
     if near_zero > 1:
@@ -110,10 +128,9 @@ def fit(
             stacklevel=2,
         )
 
-    y = eig.vectors[:, 1 : dim + 1]
     values = eig.values[1 : dim + 1].copy()
     per_view = tuple(y[sl].copy() for sl in graph.block_slices)
-    embedding = Embedding(y=y.copy(), per_view=per_view, eigenvalues=values, dim=dim)
+    embedding = Embedding(y=y, per_view=per_view, eigenvalues=values, dim=dim)
     artifacts = FitArtifacts(
         bons=tuple(bons),
         graph=graph,
@@ -127,8 +144,9 @@ def fit(
 def objective(y, graph: WeightGraph) -> float:
     """Graph smoothness cost: sum over all ordered pairs of ``||y_a - y_b||^2 W_ab``.
 
-    Computed as the literal double sum, not through the Laplacian, so it can
-    serve as an independent check of ``2 * trace(Y^T L Y)``.
+    Computed as the literal double sum over the dense graph (see
+    :meth:`mvle.graph.CellGraph.dense`), not through the Laplacian, so it
+    can serve as an independent check of ``2 * trace(Y^T L Y)``.
     """
     ym = np.asarray(y, dtype=np.float64)
     if ym.ndim == 1:
@@ -147,6 +165,11 @@ def export_embedding(
 ) -> list[str]:
     """Write per-view embedding CSVs plus a JSON sidecar of fit metadata.
 
+    The sidecar ``embedding_meta.json`` holds dim, k, t, seed, the kept
+    eigenvalues ascending, ``view_offsets`` (the first joint row of each
+    view) and ``bon_cells`` (the number m of distinct (BON vector, label)
+    cells of the joint graph).
+
     Returns the list of paths written, views first, sidecar last.
     """
     os.makedirs(out_dir, exist_ok=True)
@@ -164,6 +187,8 @@ def export_embedding(
         "t": float(artifacts.t),
         "dim": int(embedding.dim),
         "seed": seed,
+        "view_offsets": [int(v) for v in artifacts.graph.block_offsets],
+        "bon_cells": int(artifacts.graph.m),
     }
     meta_path = os.path.join(out_dir, "embedding_meta.json")
     with open(meta_path, "w", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Joint weight graph over all samples of all views.
+"""Joint weight graph over all samples of all views, in cell form.
 
 Nodes are samples; views contribute contiguous index blocks. Two samples
 a and b (same view or not) are connected when each one's label occurs in
@@ -6,6 +6,22 @@ the other's bag-of-neighbors label set. Connected pairs get heat-kernel
 weight exp(-||bon_a - bon_b||^2 / t); everything else, the diagonal
 included, is zero. Because BON vectors share the class axis across views,
 this single rule couples views of different feature dimensions.
+
+The weight W_ab depends only on the (BON vector, label) pairs of a and b,
+so the samples sharing such a pair form a cell of an equitable partition
+(Godsil & Royle, *Algebraic Graph Theory*, §9.3). :func:`build_weight_graph`
+returns the graph in that form, :class:`CellGraph`: the m distinct cells,
+their sizes c, the cell of every sample, and the m×m weights Wq between
+cells (diagonal entry w_qq: the weight between two samples of cell q). The
+spectrum of ``L y = λ D y`` is then the union of
+
+- the m eigenvalues of the quotient problem ``Lq z = λ Dq z`` from
+  :meth:`CellGraph.quotient`, whose eigenvectors are constant on cells,
+  ``y = z[cell_index]``, with ``Y^T D Y = Z^T Dq Z``;
+- the within-cell eigenvalues ``1 + w_qq / d_q``, c_q - 1 of them for each
+  cell q, whose eigenvectors live on one cell and sum to zero there.
+
+Only :meth:`CellGraph.dense` builds the N×N :class:`WeightGraph`.
 """
 
 from __future__ import annotations
@@ -34,10 +50,80 @@ class WeightGraph:
     def n(self) -> int:
         return self.w.shape[0]
 
+
+@dataclass(frozen=True)
+class CellGraph:
+    """Joint graph over the distinct (BON vector, label) cells.
+
+    ``cells[q]`` is the BON vector of cell q followed by its label,
+    ``sizes[q]`` its sample count, ``cell_index[a]`` the cell of sample a,
+    ``wq[q, r]`` the weight between a sample of cell q and another of
+    cell r, and ``cell_degrees[q]`` the degree of every sample of cell q.
+    """
+
+    cells: np.ndarray
+    sizes: np.ndarray
+    cell_index: np.ndarray
+    wq: np.ndarray
+    cell_degrees: np.ndarray
+    block_offsets: tuple[int, ...]
+    heat_t: float
+
+    @property
+    def n(self) -> int:
+        return self.cell_index.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.sizes.shape[0]
+
     @property
     def block_slices(self) -> tuple[slice, ...]:
         bounds = list(self.block_offsets) + [self.n]
         return tuple(slice(bounds[i], bounds[i + 1]) for i in range(len(self.block_offsets)))
+
+    def quotient(self) -> tuple[np.ndarray, np.ndarray]:
+        """Laplacian and diagonal metric of the m×m quotient problem.
+
+        ``Lq = diag(c⊙(dq+wqq)) - C·Wq·C`` and ``Dq = c⊙dq``. Edges within a
+        cell cancel in ``Lq``, so it is built as the Laplacian of ``C·Wq·C``
+        with its diagonal dropped, which is the same matrix without the
+        cancellation.
+        """
+        lq = self.wq * -np.outer(self.sizes, self.sizes)
+        np.fill_diagonal(lq, 0.0)
+        np.fill_diagonal(lq, -lq.sum(axis=1))
+        return lq, self.sizes * self.cell_degrees
+
+    def within_cell_band(self) -> float:
+        """Smallest within-cell eigenvalue ``1 + w_qq / d_q`` over cells of
+        two or more samples; infinity when every cell is a single sample."""
+        shared = self.sizes > 1
+        if not shared.any():
+            return np.inf
+        return float(np.min(1.0 + np.diagonal(self.wq)[shared] / self.cell_degrees[shared]))
+
+    def dense(self) -> WeightGraph:
+        """The N×N graph, entry for entry the weights the cells stand for."""
+        w = self.wq[np.ix_(self.cell_index, self.cell_index)]
+        np.fill_diagonal(w, 0.0)
+        degrees, laplacian = degree_and_laplacian(w)
+        return WeightGraph(
+            w=w,
+            block_offsets=self.block_offsets,
+            degrees=degrees,
+            laplacian=laplacian,
+            heat_t=self.heat_t,
+        )
+
+
+def _require_edges(degrees: np.ndarray) -> None:
+    isolated = np.flatnonzero(degrees == 0.0)
+    if isolated.size:
+        raise IsolatedSampleError(
+            f"sample {isolated[0]} has zero total edge weight; "
+            "try a larger neighbor count K so bag-of-neighbors label sets overlap"
+        )
 
 
 def degree_and_laplacian(w) -> tuple[np.ndarray, np.ndarray]:
@@ -53,20 +139,15 @@ def degree_and_laplacian(w) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"W must be square, got shape {m.shape}")
     degrees = m.sum(axis=1)
-    isolated = np.flatnonzero(degrees == 0.0)
-    if isolated.size:
-        raise IsolatedSampleError(
-            f"sample {isolated[0]} has zero total edge weight; "
-            "try a larger neighbor count K so bag-of-neighbors label sets overlap"
-        )
+    _require_edges(degrees)
     laplacian = np.diag(degrees) - m
     return degrees, laplacian
 
 
 def build_weight_graph(
     bons: Sequence[BonMatrix], labels: Sequence, t: float
-) -> WeightGraph:
-    """Assemble the joint weight graph from per-view BON matrices.
+) -> CellGraph:
+    """Assemble the joint weight graph, in cell form, from per-view BON matrices.
 
     Parameters
     ----------
@@ -82,7 +163,7 @@ def build_weight_graph(
     ClassCountMismatchError
         If the BON matrices disagree on the number of classes.
     IsolatedSampleError
-        If a sample ends up with zero total edge weight.
+        If a sample ends up with zero total edge weight; names the first.
     """
     if len(bons) != len(labels):
         raise LengthMismatchError(
@@ -108,27 +189,36 @@ def build_weight_graph(
             )
         label_parts.append(lab)
 
-    counts = np.vstack([b.counts for b in bons]).astype(np.float64)
-    stacked_labels = np.concatenate(label_parts)
-    sizes = [b.counts.shape[0] for b in bons]
-    offsets = tuple(int(v) for v in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
+    keyed = np.column_stack(
+        [np.vstack([b.counts for b in bons]), np.concatenate(label_parts)]
+    )
+    view_sizes = [b.counts.shape[0] for b in bons]
+    offsets = tuple(int(v) for v in np.concatenate([[0], np.cumsum(view_sizes)[:-1]]))
+    cells, cell_index, sizes = np.unique(
+        keyed, axis=0, return_inverse=True, return_counts=True
+    )
+    counts = cells[:, :-1].astype(np.float64)
 
-    # has_label[a, b]: does b's class occur among a's neighbors?
+    # has_label[q, r]: does r's class occur among q's neighbors?
     presence = counts > 0
-    has_label = presence[:, stacked_labels - 1]
+    has_label = presence[:, cells[:, -1].astype(np.int64) - 1]
     connected = has_label & has_label.T
+    wq = np.where(connected, np.exp(-cdist(counts, counts, "sqeuclidean") / t), 0.0)
 
-    sq_dist = cdist(counts, counts, "sqeuclidean")
-    w = np.where(connected, np.exp(-sq_dist / t), 0.0)
-    np.fill_diagonal(w, 0.0)
-    w = np.triu(w, k=1)
-    w = w + w.T
-
-    degrees, laplacian = degree_and_laplacian(w)
-    return WeightGraph(
-        w=w,
+    # d_q = sum over the other cells r of c_r w_qr, plus (c_q - 1) w_qq;
+    # summed without the diagonal, so no term cancels another.
+    self_w = np.diagonal(wq).copy()
+    np.fill_diagonal(wq, 0.0)
+    cell_degrees = wq @ sizes + (sizes - 1) * self_w
+    np.fill_diagonal(wq, self_w)
+    cell_index = cell_index.reshape(-1)
+    _require_edges(cell_degrees[cell_index])
+    return CellGraph(
+        cells=cells,
+        sizes=sizes,
+        cell_index=cell_index,
+        wq=wq,
+        cell_degrees=cell_degrees,
         block_offsets=offsets,
-        degrees=degrees,
-        laplacian=laplacian,
         heat_t=float(t),
     )

@@ -1,12 +1,13 @@
 """Acceptance checklist for the toolkit.
 
 Eight numbered checks, each printing one ``[PASS]``/``[FAIL]`` line. The
-benchmark checks (4 and 5) compare against pinned-seed fixtures recorded in
-``tests/fixtures/`` on the first run and enforced within half an accuracy
-point thereafter.
+benchmark checks (4 and 5) compare against the pinned-seed fixture
+``tests/fixtures/benchmark_pinned.json`` within half an accuracy point. A
+missing fixture fails them; ``MVLE_RECORD_FIXTURE=1`` records it afresh.
 """
 
 import json
+import os
 import time
 import warnings
 from pathlib import Path
@@ -110,18 +111,21 @@ def pinned_benchmark():
 
 
 def _check_against_fixture(cells):
-    """Record cells on first run; afterwards enforce the half-point band."""
-    if BENCH_FIXTURE.exists():
-        recorded = json.loads(BENCH_FIXTURE.read_text())["cells"]
-        assert set(recorded) == set(cells)
-        for key, value in recorded.items():
-            assert abs(cells[key] - value) <= HALF_POINT + 1e-12, (
-                f"cell {key}: {cells[key]:.4f} drifted from recorded {value:.4f}"
-            )
-    else:
+    """Enforce the half-point band; record the cells only when asked to."""
+    if os.environ.get("MVLE_RECORD_FIXTURE") == "1":
         FIXTURE_DIR.mkdir(exist_ok=True)
         BENCH_FIXTURE.write_text(
             json.dumps({"cells": cells}, indent=2, sort_keys=True) + "\n"
+        )
+        return
+    assert BENCH_FIXTURE.exists(), (
+        f"{BENCH_FIXTURE} is missing; set MVLE_RECORD_FIXTURE=1 to record it"
+    )
+    recorded = json.loads(BENCH_FIXTURE.read_text())["cells"]
+    assert set(recorded) == set(cells)
+    for key, value in recorded.items():
+        assert abs(cells[key] - value) <= HALF_POINT + 1e-12, (
+            f"cell {key}: {cells[key]:.4f} drifted from recorded {value:.4f}"
         )
 
 
@@ -134,7 +138,7 @@ def test_acceptance_1_eigensolver_matches_dense_oracle(capsys):
             n1 = int(rng.integers(c + 1, 11))
             n2 = int(rng.integers(c + 1, 21 - n1))
             bons, labels = random_bon_instance(rng, [n1, n2], c, 2)
-            g = build_weight_graph(bons, labels, t=float(c))
+            g = build_weight_graph(bons, labels, t=float(c)).dense()
             degrees, lap = degree_and_laplacian(g.w)
             res = generalized_eig_diag(lap, degrees)
             brute = np.sort(np.linalg.eig(np.diag(1.0 / degrees) @ lap)[0].real)
@@ -158,13 +162,14 @@ def test_acceptance_2_fit_is_variationally_optimal(capsys):
                 rng, per_class, 3, (4, 5), k=4, dim=dim
             )
             assert ds.n_total <= 60
-            xi_fit = objective(emb.y, art.graph)
+            graph = art.graph.dense()
+            xi_fit = objective(emb.y, graph)
             assert xi_fit == pytest.approx(
                 2.0 * float(emb.eigenvalues.sum()), abs=1e-8
             )
             for _ in range(1000):
-                y = d_orthonormal_competitor(rng, art.graph.degrees, dim)
-                assert xi_fit <= objective(y, art.graph) + 1e-10
+                y = d_orthonormal_competitor(rng, graph.degrees, dim)
+                assert xi_fit <= objective(y, graph) + 1e-10
         elapsed = time.perf_counter() - start
         assert elapsed < 20.0, f"took {elapsed:.2f}s, bound is 20s"
 
@@ -183,7 +188,7 @@ def test_acceptance_3_neighbor_count_and_graph_invariants(capsys):
                 failures += int(
                     not np.all(bon.counts.sum(axis=1) == bon.k)
                 )
-            g = build_weight_graph(bons, labels, t=float(c))
+            g = build_weight_graph(bons, labels, t=float(c)).dense()
             checks += 3
             failures += int(not np.array_equal(g.w, g.w.T))
             failures += int(not (np.all(g.w >= 0.0) and np.all(g.w <= 1.0)))
@@ -219,7 +224,7 @@ def test_acceptance_3_neighbor_count_and_graph_invariants(capsys):
         bon1 = bon_vectors(knn(x1, 3), lab1, 2)
         bon2 = bon_vectors(knn(x2, 3), lab2, 2)
         run_instance([bon1, bon2], [lab1, lab2], 2)
-        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=2.0)
+        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=2.0).dense()
         class2_rows = np.flatnonzero(lab1 == 2)
         assert np.all(g.w[np.ix_(class2_rows, np.arange(10, 18))] == 0.0)
 

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from mvle import bon as bon_mod
 from mvle.bon import bon_vectors, knn, pairwise_distance
 from mvle.errors import ClassCountMismatchError, KTooLargeError
+
+
+def argsort_knn(x, k):
+    """Reference: full distance matrix and a stable argsort per row."""
+    dist = cdist(x, x)
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
 class TestPairwiseDistance:
@@ -97,6 +106,16 @@ class TestKnn:
         base = knn(x, 5)
         rotated = knn(x @ q, 5)
         assert np.array_equal(base.indices, rotated.indices)
+
+    @pytest.mark.parametrize("chunk_entries", [1, 97, 1 << 22])
+    def test_tie_heavy_matches_stable_argsort(self, monkeypatch, chunk_entries):
+        # Integer-rounded features make many exactly equal distances; small
+        # chunks split the rows into many blocks, down to one row each.
+        monkeypatch.setattr(bon_mod, "KNN_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(68)
+        for n, d, k in [(40, 1, 5), (60, 2, 9), (33, 3, 32), (50, 2, 1)]:
+            x = np.round(rng.normal(scale=1.5, size=(n, d)))
+            assert np.array_equal(knn(x, k).indices, argsort_knn(x, k))
 
     def test_k_too_large(self):
         x = np.zeros((4, 2))

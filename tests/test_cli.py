@@ -13,6 +13,7 @@ from mvle.dataset import (
     SyntheticSpec,
     View,
     gen_synthetic,
+    load_view_csv,
     split,
     zscore_apply,
     zscore_fit,
@@ -44,6 +45,14 @@ def view_flags(data_dir, count=2):
             "--labels", str(data_dir / f"view{i}_labels.csv"),
         ]
     return flags
+
+
+def load_views(data_dir):
+    views = tuple(
+        load_view_csv(data_dir / f"view{i}_features.csv", data_dir / f"view{i}_labels.csv")
+        for i in (1, 2)
+    )
+    return MultiViewDataset(views=views, class_count=4)
 
 
 class TestConfig:
@@ -135,17 +144,8 @@ class TestEmbed:
         assert meta["dim"] == 3
 
         # recompute the objective from the same inputs
-        from mvle.dataset import load_view_csv
-
-        views = tuple(
-            load_view_csv(
-                data / f"view{i}_features.csv", data / f"view{i}_labels.csv"
-            )
-            for i in (1, 2)
-        )
-        ds = MultiViewDataset(views=views, class_count=4)
-        emb, art = fit(ds, 6, 3)
-        assert printed_xi == pytest.approx(objective(emb.y, art.graph), abs=1e-6)
+        emb, art = fit(load_views(data), 6, 3)
+        assert printed_xi == pytest.approx(objective(emb.y, art.graph.dense()), abs=1e-6)
 
     def test_deterministic_outputs(self, tmp_path, capsys):
         data = gen_small(tmp_path)
@@ -173,6 +173,8 @@ class TestEmbed:
         assert len(rows) == 96
         w = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert np.array_equal(w, w.T)
+        _, art = fit(load_views(data), 6, 2)
+        assert np.array_equal(w, art.graph.dense().w)
 
     def test_missing_views_is_config_error(self, tmp_path, capsys):
         rc = main(["embed", "--k", "4"])

@@ -37,10 +37,11 @@ class TestFit:
             views=(View(feats, labels), View(feats.copy(), labels)), class_count=1
         )
         emb, art = fit(ds, k=2, dim=1)
-        assert np.all(art.graph.w[~np.eye(6, dtype=bool)] == 1.0)
+        graph = art.graph.dense()
+        assert np.all(graph.w[~np.eye(6, dtype=bool)] == 1.0)
         y = emb.y
-        assert abs(float(y[:, 0] @ (art.graph.degrees * y[:, 0])) - 1.0) < 1e-8
-        xi = objective(y, art.graph)
+        assert abs(float(y[:, 0] @ (graph.degrees * y[:, 0])) - 1.0) < 1e-8
+        xi = objective(y, graph)
         assert xi == pytest.approx(2.0 * emb.eigenvalues.sum(), abs=1e-8)
 
     def test_trace_identity(self):
@@ -51,8 +52,9 @@ class TestFit:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 emb, art = fit(ds, k=4, dim=3)
-            xi = objective(emb.y, art.graph)
-            trace_route = 2.0 * np.trace(emb.y.T @ art.graph.laplacian @ emb.y)
+            graph = art.graph.dense()
+            xi = objective(emb.y, graph)
+            trace_route = 2.0 * np.trace(emb.y.T @ graph.laplacian @ emb.y)
             assert xi == pytest.approx(trace_route, abs=1e-8)
             assert xi == pytest.approx(2.0 * emb.eigenvalues.sum(), abs=1e-8)
 
@@ -60,7 +62,7 @@ class TestFit:
         rng = np.random.default_rng(92)
         ds = clustered_dataset(rng, per_class=7, classes=3)
         emb, art = fit(ds, k=5, dim=4)
-        gram = emb.y.T @ np.diag(art.graph.degrees) @ emb.y
+        gram = emb.y.T @ np.diag(art.graph.dense().degrees) @ emb.y
         assert np.max(np.abs(gram - np.eye(4))) < 1e-8
         assert np.all(np.diff(emb.eigenvalues) >= -1e-12)
         assert np.all(emb.eigenvalues >= -1e-10)
@@ -96,8 +98,8 @@ class TestFit:
         )
         emb2, art2 = fit(permuted, k=4, dim=3)
         assert np.allclose(emb2.eigenvalues, emb.eigenvalues, atol=1e-8)
-        assert objective(emb2.y, art2.graph) == pytest.approx(
-            objective(emb.y, art.graph), abs=1e-8
+        assert objective(emb2.y, art2.graph.dense()) == pytest.approx(
+            objective(emb.y, art.graph.dense()), abs=1e-8
         )
         # view-1 rows permute on the embedding; signs are fixed per vector
         assert np.allclose(
@@ -114,7 +116,7 @@ class TestFit:
 
         normed, _ = zscore_normalize(feats)
         bon = bon_vectors(knn(normed, 5), labels, 3)
-        g = build_weight_graph([bon], [labels], t=3.0)
+        g = build_weight_graph([bon], [labels], t=3.0).dense()
         degrees, lap = degree_and_laplacian(g.w)
         res = generalized_eig_diag(lap, degrees)
         assert np.allclose(emb.eigenvalues, res.values[1:3], atol=1e-10)
@@ -151,7 +153,7 @@ class TestObjective:
         ds = clustered_dataset(rng, per_class=5, classes=2)
         _, art = fit(ds, k=3, dim=1)
         y = np.ones((art.graph.n, 2))
-        assert objective(y, art.graph) == pytest.approx(0.0, abs=1e-12)
+        assert objective(y, art.graph.dense()) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_hand_sum(self):
         from mvle.graph import WeightGraph
@@ -168,10 +170,11 @@ class TestObjective:
         rng = np.random.default_rng(102)
         ds = clustered_dataset(rng, per_class=6, classes=3)
         _, art = fit(ds, k=4, dim=2)
+        graph = art.graph.dense()
         for _ in range(10):
-            y = rng.normal(size=(art.graph.n, 3))
-            direct = objective(y, art.graph)
-            trace_route = 2.0 * np.trace(y.T @ art.graph.laplacian @ y)
+            y = rng.normal(size=(graph.n, 3))
+            direct = objective(y, graph)
+            trace_route = 2.0 * np.trace(y.T @ graph.laplacian @ y)
             assert direct == pytest.approx(trace_route, abs=1e-10 * max(1.0, direct))
 
 
@@ -191,3 +194,9 @@ class TestExport:
         assert meta["seed"] == 42
         assert np.allclose(meta["eigenvalues"], emb.eigenvalues)
         assert meta["eigenvalues"] == sorted(meta["eigenvalues"])
+        # the first joint row of each view, and the distinct (BON, label) pairs
+        assert meta["view_offsets"] == [0, ds.views[0].n]
+        keyed = np.vstack([
+            np.column_stack([b.counts, v.labels]) for b, v in zip(art.bons, ds.views)
+        ])
+        assert meta["bon_cells"] == len({tuple(row) for row in keyed.tolist()})

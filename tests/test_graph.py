@@ -39,7 +39,7 @@ class TestBuildWeightGraph:
         x = np.array([[0.0], [1.0]])
         lab = np.array([1, 1])
         bon = bon_vectors(knn(x, 1), lab, 2)
-        g = build_weight_graph([bon, bon], [lab, lab], t=2.0)
+        g = build_weight_graph([bon, bon], [lab, lab], t=2.0).dense()
         assert g.w[0, 2] == pytest.approx(1.0, abs=1e-15)
 
     def test_stated_formula_value(self):
@@ -48,7 +48,7 @@ class TestBuildWeightGraph:
         bon2 = BonMatrix(np.array([[1, 2, 0, 0], [2, 1, 0, 0]]), k=3)
         lab1 = np.array([1, 2])
         lab2 = np.array([2, 1])
-        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=4.0)
+        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=4.0).dense()
         # sample 0 of view 1 vs sample 0 of view 2: counts differ by [1,-1,0,0]
         assert g.w[0, 2] == pytest.approx(np.exp(-2.0 / 4.0), abs=1e-15)
         assert g.w[0, 2] == pytest.approx(0.60653, abs=5e-6)
@@ -58,7 +58,7 @@ class TestBuildWeightGraph:
         x = np.array([[0.0], [0.1], [10.0], [10.1]])
         lab = np.array([1, 1, 2, 2])
         bon = bon_vectors(knn(x, 1), lab, 2)
-        g = build_weight_graph([bon], [lab], t=2.0)
+        g = build_weight_graph([bon], [lab], t=2.0).dense()
         assert g.w[0, 2] == 0.0
         assert g.w[2, 0] == 0.0
         assert g.w[0, 1] == pytest.approx(1.0)
@@ -67,7 +67,7 @@ class TestBuildWeightGraph:
         rng = np.random.default_rng(81)
         for _ in range(10):
             bons, labels = random_connected_instance(rng, [12, 9], 3, 4)
-            g = build_weight_graph(bons, labels, t=3.0)
+            g = build_weight_graph(bons, labels, t=3.0).dense()
             assert np.array_equal(g.w, g.w.T)
             assert np.all(g.w >= 0.0)
             assert np.all(g.w <= 1.0)
@@ -85,7 +85,7 @@ class TestBuildWeightGraph:
         rng = np.random.default_rng(83)
         bons, labels = random_instance(rng, [10, 8], 4, 3)
         t = 4.0
-        g = build_weight_graph(bons, labels, t=t)
+        g = build_weight_graph(bons, labels, t=t).dense()
         counts = np.vstack([b.counts for b in bons])
         stacked = np.concatenate(labels)
         sets = [bons[0].label_set(a) for a in range(10)]
@@ -111,7 +111,7 @@ class TestBuildWeightGraph:
         x2 = np.array([[0.0], [0.2], [0.4], [0.6]])
         lab2 = np.array([2, 2, 3, 3])
         bon2 = bon_vectors(knn(x2, 2), lab2, 3)
-        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=3.0)
+        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=3.0).dense()
         assert np.all(g.w[:3, 3:] == 0.0)
         assert np.all(g.w[3:, :3] == 0.0)
 
@@ -121,7 +121,7 @@ class TestBuildWeightGraph:
         x = np.array([[0.0], [0.01], [0.02], [0.03]])
         lab = np.array([1, 2, 1, 2])
         bon = bon_vectors(knn(x, 3), lab, 2)
-        g = build_weight_graph([bon], [lab], t=2.0)
+        g = build_weight_graph([bon], [lab], t=2.0).dense()
         counts = bon.counts.astype(float)
         for a in range(4):
             for b in range(4):
@@ -194,7 +194,7 @@ class TestGraphInvariantsEndToEnd:
     def test_degrees_match_w_and_l(self):
         rng = np.random.default_rng(87)
         bons, labels = random_instance(rng, [14, 10], 3, 5)
-        g = build_weight_graph(bons, labels, t=3.0)
+        g = build_weight_graph(bons, labels, t=3.0).dense()
         assert np.allclose(g.degrees, g.w.sum(axis=0), atol=1e-12)
         assert np.allclose(g.laplacian, np.diag(g.degrees) - g.w, atol=1e-15)
         assert np.max(np.abs(g.laplacian.sum(axis=1))) < 1e-12
