@@ -5,17 +5,19 @@ count vectors, a joint heat-kernel graph couples all samples of all views,
 and a generalized eigensolve yields one embedding whose row blocks map back
 to the views. A two-stage random-feature network (`mhon`) extends the
 embedding to unseen samples and classifies them; `baselines` holds the
-linear comparison methods and the shared ELM classifier.
+linear comparison methods and the shared ELM classifier, and `bench` the
+repeated split/fit/score protocol. The command line lives in `mvle.cli`
+(``python -m mvle``), which is not imported here.
 """
 
-from . import baselines, bon, cli, dataset, embedding, errors, graph, linalg, metrics, mhon
+from . import baselines, bench, bon, dataset, embedding, errors, graph, linalg, metrics, mhon
 from .dataset import MultiViewDataset, SyntheticSpec, View, gen_synthetic
 from .embedding import fit
 
 __all__ = [
     "baselines",
+    "bench",
     "bon",
-    "cli",
     "dataset",
     "embedding",
     "errors",

@@ -27,17 +27,10 @@ from .errors import (
     VcDimMismatchError,
 )
 from .graph import WeightGraph, degree_and_laplacian
-from .linalg import generalized_eig_diag, ridge_solve
+from .linalg import _fix_signs, generalized_eig_diag, ridge_solve
 
 SCATTER_REG = 1e-6
 CCA_KAPPA = 1e-4
-
-
-def _fix_column_signs(w: np.ndarray) -> np.ndarray:
-    lead = np.argmax(np.abs(w), axis=0)
-    signs = np.sign(w[lead, np.arange(w.shape[1])])
-    signs[signs == 0] = 1.0
-    return w * signs
 
 
 @dataclass(frozen=True)
@@ -160,7 +153,7 @@ def _lda_directions(x: np.ndarray, labels: np.ndarray, dim: int) -> np.ndarray:
     w = _top_generalized(s_b, s_w, dim)
     norms = np.linalg.norm(w, axis=0)
     norms[norms == 0] = 1.0
-    return _fix_column_signs(w / norms)
+    return _fix_signs(w / norms)
 
 
 def lda_fit(x, labels, dim: int) -> LinearProjector:
@@ -236,8 +229,8 @@ def cca_fit(x, y, dim: int | None = None, kappa: float = CCA_KAPPA) -> CcaResult
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         r = min(r, dim)
-    wx = _fix_column_signs(wx_white @ u[:, :r])
-    wy = _fix_column_signs(wy_white @ vt.T[:, :r])
+    wx = _fix_signs(wx_white @ u[:, :r])
+    wy = _fix_signs(wy_white @ vt.T[:, :r])
     return CcaResult(wx=wx, wy=wy, correlations=s[:r].copy())
 
 
@@ -286,7 +279,7 @@ class PlsResult:
 
 
 def nipals_pls(
-    x, y, dim: int, max_iter: int = 500, tol: float = 1e-10
+    x, y, dim: int, max_iter: int = 2000, tol: float = 1e-10
 ) -> PlsResult:
     """Two-block NIPALS partial least squares with symmetric deflation.
 
@@ -356,27 +349,34 @@ def nipals_pls(
 
     if not wx_list:
         raise NoConvergenceError("no PLS component could be extracted")
-    wxm = np.column_stack(wx_list)
-    wym = np.column_stack(wy_list)
-    pxm = np.column_stack(px_list)
-    qym = np.column_stack(qy_list)
-    x_rot = wxm @ np.linalg.pinv(pxm.T @ wxm)
-    y_rot = wym @ np.linalg.pinv(qym.T @ wym)
     return PlsResult(
-        x_weights=wxm,
-        y_weights=wym,
-        x_loadings=pxm,
-        y_loadings=qym,
+        x_weights=np.column_stack(wx_list),
+        y_weights=np.column_stack(wy_list),
+        x_loadings=np.column_stack(px_list),
+        y_loadings=np.column_stack(qy_list),
         x_scores=np.column_stack(tx_list),
         y_scores=np.column_stack(uy_list),
-        x_rotations=x_rot,
-        y_rotations=y_rot,
+        x_rotations=_rotations(wx_list, px_list),
+        y_rotations=_rotations(wy_list, qy_list),
     )
+
+
+def _rotations(weights: list[np.ndarray], loadings: list[np.ndarray]) -> np.ndarray:
+    # R = W (P^T W)^{-1}. Deflation makes P^T W unit upper triangular, so
+    # R (P^T W) = W is solved column by column, and column j uses only the
+    # first j + 1 components: rotations nest exactly across widths.
+    rot: list[np.ndarray] = []
+    for w, p in zip(weights, loadings):
+        r = w.copy()
+        for r_i, p_i in zip(rot, loadings):
+            r -= (p_i @ w) * r_i
+        rot.append(r / (p @ w))
+    return np.column_stack(rot)
 
 
 def pls_fit(
     ds: MultiViewDataset, dim: int,
-    max_iter: int = 500, tol: float = 1e-10,
+    max_iter: int = 2000, tol: float = 1e-10,
     norm_stats: tuple[NormStats, ...] | None = None,
 ) -> LinearProjector:
     """Paired-view PLS projector; rotations map raw features to scores."""
@@ -472,7 +472,7 @@ def mvda_fit(
     beta = _top_generalized(s_b, denom, dim)
     norms = np.linalg.norm(beta, axis=0)
     norms[norms == 0] = 1.0
-    beta = _fix_column_signs(beta / norms)
+    beta = _fix_signs(beta / norms)
 
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     projections = tuple(

@@ -13,43 +13,20 @@ import dataclasses
 import json
 import os
 import sys
-import time
-
-import numpy as np
 
 from . import embedding, mhon
-from .baselines import (
-    LinearProjector,
-    cca_lda_fit,
-    elm_predict,
-    elm_train,
-    mvda_fit,
-    pls_fit,
-)
+from .bench import METHODS, mhon_hyper, run_benchmark
 from .dataset import (
     NONLINEARITY_MODES,
     MultiViewDataset,
     SyntheticSpec,
-    View,
     gen_synthetic,
     load_view_csv,
-    split,
     write_view_csv,
-    zscore_apply,
-    zscore_fit,
 )
-from .errors import ClassTooSmallError, ConfigError, MvleError, UnknownMethodError
-from .metrics import (
-    EvalReport,
-    ReportRow,
-    accuracy,
-    aggregate_reports,
-    render_report_csv,
-    s_b,
-    s_w,
-)
+from .errors import ConfigError, MvleError
+from .metrics import accuracy, render_report_csv
 
-METHODS = ("mvle", "cca-lda", "pls", "mvda", "mvda-vc", "raw")
 MHON_MODES = ("per-view", "concat")
 
 
@@ -114,22 +91,15 @@ def _string(value, key: str) -> str:
     return value
 
 
-def _nonlinearity(value, key: str) -> str:
-    v = _string(value, key)
-    if v not in NONLINEARITY_MODES:
-        raise ConfigError(
-            f"config key {key!r} must be one of {list(NONLINEARITY_MODES)}, got {v!r}"
-        )
-    return v
-
-
-def _mhon_mode(value, key: str) -> str:
-    v = _string(value, key)
-    if v not in MHON_MODES:
-        raise ConfigError(
-            f"config key {key!r} must be one of {list(MHON_MODES)}, got {v!r}"
-        )
-    return v
+def _choice(options):
+    def check(value, key: str) -> str:
+        v = _string(value, key)
+        if v not in options:
+            raise ConfigError(
+                f"config key {key!r} must be one of {list(options)}, got {v!r}"
+            )
+        return v
+    return check
 
 
 def _bool(value, key: str) -> bool:
@@ -201,15 +171,15 @@ _SYNTH_KEYS = {
     "samples_per_class": _positive_int,
     "view_dims": _view_dims,
     "noise_sigma": _nonneg_float,
-    "nonlinearity": _nonlinearity,
+    "nonlinearity": _choice(NONLINEARITY_MODES),
 }
 
 _MHON_KEYS = {
     "h1": _positive_int,
     "h2": _positive_int,
     "mhon_lambda": _positive_float,
-    "activation": _string,
-    "mhon_mode": _mhon_mode,
+    "activation": _choice(mhon.ACTIVATIONS),
+    "mhon_mode": _choice(MHON_MODES),
 }
 
 _SCHEMAS: dict[str, dict] = {
@@ -378,16 +348,6 @@ def _synthetic_from_cfg(cfg: dict) -> MultiViewDataset:
     return gen_synthetic(spec)
 
 
-def _mhon_hyper(cfg: dict, seed: int) -> mhon.MhonHyper:
-    return mhon.MhonHyper(
-        h1=cfg["h1"],
-        h2=cfg["h2"],
-        ridge_lambda=cfg["mhon_lambda"],
-        seed=seed,
-        activation=cfg["activation"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -434,10 +394,10 @@ def cmd_train_mhon(cfg: dict) -> int:
     emb, art = embedding.fit(ds, cfg["k"], cfg["dim"], cfg["t"])
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    hyper = _mhon_hyper(cfg, cfg["seed"])
+    hyper = mhon_hyper(cfg, cfg["seed"])
     paths = embedding.export_embedding(emb, art, out_dir, seed=cfg["seed"])
     if cfg["mhon_mode"] == "concat":
-        models = [_train_concat_model(ds, emb, art, hyper)]
+        models = [mhon.train_concat(ds, emb.per_view, art.norm_stats, hyper)]
     else:
         models = [
             mhon.train(
@@ -456,12 +416,7 @@ def cmd_train_mhon(cfg: dict) -> int:
         path = os.path.join(out_dir, name)
         mhon.save_model(model, path)
         paths.append(path)
-        if model.view_id == 0:
-            feats = np.hstack([v.features for v in ds.views])
-            labs = ds.views[0].labels
-        else:
-            feats = ds.views[model.view_id - 1].features
-            labs = ds.views[model.view_id - 1].labels
+        feats, labs = ds.view_data(model.view_id)
         acc = accuracy(mhon.predict(model, feats), labs)
         tag = "concat" if model.view_id == 0 else f"view {model.view_id}"
         print(f"train-mhon: {tag} train_accuracy={acc:.6f} -> {path}")
@@ -498,7 +453,7 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_benchmark(cfg: dict) -> int:
     if cfg.get("views"):
-        ds = _load_dataset({"views": cfg["views"], "class_count": cfg.get("class_count")})
+        ds = _load_dataset(cfg)
     else:
         ds = _synthetic_from_cfg(cfg)
     rows, runs = run_benchmark(ds, cfg)
@@ -520,188 +475,6 @@ def cmd_benchmark(cfg: dict) -> int:
     print(render_report_csv(rows), end="")
     print(f"benchmark: wrote {report_path} and {runs_path}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# benchmark engine
-
-
-def _train_concat_model(ds, emb, art, hyper) -> mhon.MhonModel:
-    from .dataset import NormStats
-    from .errors import UnpairedViewsError
-
-    ns = [v.n for v in ds.views]
-    if len(set(ns)) != 1:
-        raise UnpairedViewsError(
-            f"concat mode needs paired views with equal sample counts, got {ns}"
-        )
-    for v in ds.views[1:]:
-        if not np.array_equal(v.labels, ds.views[0].labels):
-            raise UnpairedViewsError("concat mode needs one shared label sequence")
-    feats = np.hstack([v.features for v in ds.views])
-    targets = np.hstack(list(emb.per_view))
-    stats = NormStats(
-        mean=np.concatenate([s.mean for s in art.norm_stats]),
-        std=np.concatenate([s.std for s in art.norm_stats]),
-    )
-    return mhon.train(
-        feats, targets, ds.views[0].labels, ds.class_count, stats, hyper, view_id=0
-    )
-
-
-def _fit_linear(method: str, norm_train: MultiViewDataset, dim: int, cfg: dict) -> LinearProjector:
-    if method == "cca-lda":
-        return cca_lda_fit(norm_train, dim)
-    if method == "pls":
-        return pls_fit(norm_train, dim)
-    if method == "mvda":
-        return mvda_fit(norm_train, dim)
-    if method == "mvda-vc":
-        return mvda_fit(norm_train, dim, view_consistency_lambda=cfg["vc_lambda"])
-    raise UnknownMethodError(f"unknown method {method!r}")
-
-
-def _spread_metrics(representation: np.ndarray, labels) -> tuple[float | None, float | None]:
-    try:
-        return s_w(representation, labels), s_b(representation, labels)
-    except ClassTooSmallError:
-        return None, None
-
-
-def run_benchmark(
-    ds: MultiViewDataset, cfg: dict
-) -> tuple[list[ReportRow], list[EvalReport]]:
-    """Split/fit/evaluate every (method, dim) cell over the repeat protocol.
-
-    Returns aggregated report rows plus the per-run evaluation records. The
-    ``raw`` method ignores the dim sweep and reports dim 0 (native width).
-    """
-    for method in cfg["methods"]:
-        if method not in METHODS:
-            raise UnknownMethodError(
-                f"unknown method {method!r}; valid: {', '.join(METHODS)}"
-            )
-    runs: list[EvalReport] = []
-    repeats = cfg["repeats"]
-    for rep in range(repeats):
-        rep_seed = cfg["seed"] + rep
-        train, test = split(ds, cfg["train_fraction"], rep_seed)
-        stats = [zscore_fit(v.features) for v in train.views]
-        norm_train_feats = [
-            zscore_apply(v.features, s) for v, s in zip(train.views, stats)
-        ]
-        norm_test_feats = [
-            zscore_apply(v.features, s) for v, s in zip(test.views, stats)
-        ]
-        norm_train_ds = MultiViewDataset(
-            tuple(
-                View(f, v.labels) for f, v in zip(norm_train_feats, train.views)
-            ),
-            ds.class_count,
-        )
-
-        def record(method, view, dim, acc, rep_feats, rep_labels, wall):
-            sw, sb = _spread_metrics(rep_feats, rep_labels)
-            runs.append(
-                EvalReport(
-                    method=method,
-                    view=view,
-                    dim=dim,
-                    seed=rep_seed,
-                    accuracy=acc,
-                    s_w=sw,
-                    s_b=sb,
-                    wall_time=wall,
-                )
-            )
-
-        for method in cfg["methods"]:
-            if method == "raw":
-                for i in range(ds.view_count):
-                    t0 = time.perf_counter()
-                    clf = elm_train(
-                        norm_train_feats[i],
-                        train.views[i].labels,
-                        ds.class_count,
-                        hidden=cfg["elm_hidden"],
-                        ridge_lambda=cfg["elm_lambda"],
-                        seed=rep_seed,
-                    )
-                    acc = accuracy(
-                        elm_predict(clf, norm_test_feats[i]), test.views[i].labels
-                    )
-                    record(
-                        "raw", i + 1, 0, acc,
-                        norm_test_feats[i], test.views[i].labels,
-                        time.perf_counter() - t0,
-                    )
-            elif method == "mvle":
-                for dim in cfg["dims"]:
-                    t0 = time.perf_counter()
-                    emb, art = embedding.fit(train, cfg["k"], dim, cfg["t"])
-                    hyper = _mhon_hyper(cfg, rep_seed)
-                    fit_share = (time.perf_counter() - t0) / max(train.view_count, 1)
-                    if cfg["mhon_mode"] == "concat":
-                        t1 = time.perf_counter()
-                        model = _train_concat_model(train, emb, art, hyper)
-                        test_feats = np.hstack([v.features for v in test.views])
-                        pred = mhon.predict(model, test_feats)
-                        acc = accuracy(pred, test.views[0].labels)
-                        record(
-                            "mvle", 0, dim, acc,
-                            mhon.embed(model, test_feats), test.views[0].labels,
-                            fit_share * train.view_count
-                            + time.perf_counter() - t1,
-                        )
-                        continue
-                    for i in range(train.view_count):
-                        t1 = time.perf_counter()
-                        model = mhon.train(
-                            train.views[i].features,
-                            emb.per_view[i],
-                            train.views[i].labels,
-                            ds.class_count,
-                            art.norm_stats[i],
-                            hyper,
-                            view_id=i + 1,
-                        )
-                        acc = accuracy(
-                            mhon.predict(model, test.views[i].features),
-                            test.views[i].labels,
-                        )
-                        record(
-                            "mvle", i + 1, dim, acc,
-                            mhon.embed(model, test.views[i].features),
-                            test.views[i].labels,
-                            fit_share + time.perf_counter() - t1,
-                        )
-            else:
-                for dim in cfg["dims"]:
-                    t0 = time.perf_counter()
-                    proj = _fit_linear(method, norm_train_ds, dim, cfg)
-                    fit_share = (time.perf_counter() - t0) / max(ds.view_count, 1)
-                    for i in range(ds.view_count):
-                        t1 = time.perf_counter()
-                        tr_scores = norm_train_feats[i] @ proj.projections[i]
-                        te_scores = norm_test_feats[i] @ proj.projections[i]
-                        clf = elm_train(
-                            tr_scores,
-                            train.views[i].labels,
-                            ds.class_count,
-                            hidden=cfg["elm_hidden"],
-                            ridge_lambda=cfg["elm_lambda"],
-                            seed=rep_seed,
-                        )
-                        acc = accuracy(
-                            elm_predict(clf, te_scores), test.views[i].labels
-                        )
-                        record(
-                            method, i + 1, dim, acc,
-                            te_scores, test.views[i].labels,
-                            fit_share + time.perf_counter() - t1,
-                        )
-
-    return aggregate_reports(runs), runs
 
 
 # ---------------------------------------------------------------------------
@@ -814,20 +587,6 @@ _COMMANDS = {
     "benchmark": cmd_benchmark,
 }
 
-_FLAG_KEYS = {
-    "gen": ["class_count", "samples_per_class", "view_dims", "noise_sigma",
-            "nonlinearity", "seed", "out_dir"],
-    "embed": ["class_count", "k", "t", "dim", "seed", "out_dir", "dump_graph"],
-    "train-mhon": ["class_count", "k", "t", "dim", "seed", "out_dir",
-                   "h1", "h2", "mhon_lambda", "activation", "mhon_mode"],
-    "eval": ["models", "out"],
-    "benchmark": ["class_count", "samples_per_class", "view_dims", "noise_sigma",
-                  "nonlinearity", "methods", "dims", "k", "t", "train_fraction",
-                  "repeats", "seed", "elm_hidden", "elm_lambda", "vc_lambda",
-                  "h1", "h2", "mhon_lambda", "activation", "mhon_mode", "out_dir"],
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -835,14 +594,13 @@ def main(argv=None) -> int:
     try:
         file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
         flag_cfg = {}
-        for key in _FLAG_KEYS[command]:
+        for key in _SCHEMAS[command]:
             value = getattr(args, key, None)
             if value is not None:
                 flag_cfg[key] = value
-        if command in ("embed", "train-mhon", "eval", "benchmark"):
-            views = _views_from_flags(args)
-            if views is not None:
-                flag_cfg["views"] = views
+        views = _views_from_flags(args)
+        if views is not None:
+            flag_cfg["views"] = views
         cfg = merge_config(command, file_cfg, flag_cfg)
         if command in ("embed", "train-mhon") and not cfg.get("views"):
             raise ConfigError(f"command {command} needs views (--features/--labels)")

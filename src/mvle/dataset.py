@@ -88,6 +88,12 @@ class MultiViewDataset:
     def n_total(self) -> int:
         return sum(v.n for v in self.views)
 
+    def view_data(self, view: int) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of 1-based ``view``; view 0 is all views side by side."""
+        if view == 0:
+            return np.hstack([v.features for v in self.views]), self.views[0].labels
+        return self.views[view - 1].features, self.views[view - 1].labels
+
 
 @dataclass(frozen=True)
 class NormStats:

@@ -80,3 +80,7 @@ class UnknownMethodError(MvleError):
 
 class ConfigError(MvleError):
     """A run configuration contains an unknown key or an invalid value."""
+
+
+class ModelFormatError(MvleError, ValueError):
+    """A saved model is not valid JSON or not a document of the expected format."""

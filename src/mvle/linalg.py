@@ -82,6 +82,12 @@ def sym_eig(a) -> EigenResult:
     NoConvergenceError
         If the underlying iteration does not converge.
     """
+    values, vectors = _eigh(a)
+    return EigenResult(values=values, vectors=_fix_signs(vectors))
+
+
+def _eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    # sym_eig without the sign convention, for callers that apply it later.
     m = as_matrix(a, "a")
     n, k = m.shape
     if n != k:
@@ -98,7 +104,7 @@ def sym_eig(a) -> EigenResult:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    return EigenResult(values=values, vectors=_fix_signs(vectors))
+    return values, vectors
 
 
 def generalized_eig_diag(l, d) -> EigenResult:
@@ -106,7 +112,7 @@ def generalized_eig_diag(l, d) -> EigenResult:
 
     ``d`` may be the diagonal as a 1-D vector or as a full diagonal
     matrix. The problem is whitened to ``D^{-1/2} L D^{-1/2}``, explicitly
-    re-symmetrized, solved with :func:`sym_eig`, and the eigenvectors are
+    re-symmetrized, solved as in :func:`sym_eig`, and the eigenvectors are
     mapped back so that ``Y^T D Y = I``.
 
     Raises
@@ -131,9 +137,9 @@ def generalized_eig_diag(l, d) -> EigenResult:
         )
     inv_sqrt = 1.0 / np.sqrt(dv)
     white = inv_sqrt[:, None] * lm * inv_sqrt[None, :]
-    result = sym_eig(white)
-    vectors = inv_sqrt[:, None] * result.vectors
-    return EigenResult(values=result.values, vectors=_fix_signs(vectors))
+    values, vectors = _eigh(white)
+    # The sign convention is applied once, to the mapped-back vectors.
+    return EigenResult(values=values, vectors=_fix_signs(inv_sqrt[:, None] * vectors))
 
 
 def ridge_solve(h, t, lam: float) -> np.ndarray:

@@ -86,8 +86,9 @@ class EvalReport:
 
     ``s_w``/``s_b`` describe the representation the classifier consumed and
     may be None when a portion is too small to estimate them. ``wall_time``
-    is the seconds spent producing this record, shared fit work split evenly
-    across the views it served.
+    is the seconds spent producing this record: its own classifier work plus
+    an even share of the method's one fit per repeat, split over every
+    (width, view) record that fit serves.
     """
 
     method: str

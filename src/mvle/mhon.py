@@ -18,11 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .dataset import NormStats, zscore_apply, zscore_fit
+from .dataset import MultiViewDataset, NormStats, zscore_apply, zscore_fit
 from .errors import (
     DimMismatchError,
     LabelOutOfRangeError,
     LengthMismatchError,
+    ModelFormatError,
+    UnpairedViewsError,
 )
 from .linalg import ridge_solve
 
@@ -190,6 +192,35 @@ def train(
     )
 
 
+def train_concat(
+    ds: MultiViewDataset, targets, norm_stats, hyper: MhonHyper = MhonHyper()
+) -> MhonModel:
+    """Train one network (view id 0) on all views side by side.
+
+    ``targets`` and ``norm_stats`` hold each view's embedding block and
+    normalization statistics, joined in view order.
+
+    Raises
+    ------
+    UnpairedViewsError
+        If the views differ in sample count or label sequence.
+    """
+    ns = [v.n for v in ds.views]
+    if len(set(ns)) != 1:
+        raise UnpairedViewsError(
+            f"concat mode needs paired views with equal sample counts, got {ns}"
+        )
+    for v in ds.views[1:]:
+        if not np.array_equal(v.labels, ds.views[0].labels):
+            raise UnpairedViewsError("concat mode needs one shared label sequence")
+    stats = NormStats(
+        mean=np.concatenate([s.mean for s in norm_stats]),
+        std=np.concatenate([s.std for s in norm_stats]),
+    )
+    x, labels = ds.view_data(0)
+    return train(x, np.hstack(list(targets)), labels, ds.class_count, stats, hyper, view_id=0)
+
+
 def _check_width(model: MhonModel, xm: np.ndarray) -> None:
     if xm.ndim != 2 or xm.shape[1] != model.input_dim:
         raise DimMismatchError(
@@ -265,13 +296,32 @@ def to_json(model: MhonModel) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def from_json(text: str) -> MhonModel:
-    """Rebuild a model from :func:`to_json` output."""
-    doc = json.loads(text)
-    if doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"not a {FORMAT_NAME} document")
+def from_json(text: str | bytes) -> MhonModel:
+    """Rebuild a model from :func:`to_json` output.
+
+    Raises
+    ------
+    ModelFormatError
+        If ``text`` is not JSON, not a version-1 ``mhon-model`` document, or
+        lacks or mistypes one of its fields.
+    """
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise ModelFormatError(f"model is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+        raise ModelFormatError(f"not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported version {doc.get('version')}")
+        raise ModelFormatError(f"unsupported {FORMAT_NAME} version {doc.get('version')!r}")
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(
+            f"malformed {FORMAT_NAME} document: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _model_from_doc(doc: dict) -> MhonModel:
     hyper = MhonHyper(
         h1=doc["hyper"]["h1"],
         h2=doc["hyper"]["h2"],
@@ -310,5 +360,5 @@ def save_model(model: MhonModel, path) -> None:
 
 
 def load_model(path) -> MhonModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return from_json(fh.read())

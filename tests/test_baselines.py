@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from mvle import baselines as bl
-from mvle.dataset import MultiViewDataset, View, zscore_fit, zscore_normalize
+from mvle.dataset import (
+    MultiViewDataset,
+    SyntheticSpec,
+    View,
+    gen_synthetic,
+    split,
+    zscore_fit,
+    zscore_normalize,
+)
 from mvle.embedding import objective
 from mvle.errors import (
     DimMismatchError,
@@ -269,6 +277,24 @@ class TestPls:
     def test_unpaired(self):
         with pytest.raises(UnpairedViewsError):
             bl.nipals_pls(np.zeros((4, 2)), np.zeros((5, 2)), dim=1)
+
+    def test_rotations_map_centered_features_to_scores(self):
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(60, 6))
+        y = x @ rng.normal(size=(6, 5)) + 0.2 * rng.normal(size=(60, 5))
+        res = bl.nipals_pls(x, y, dim=4)
+        assert np.allclose((x - x.mean(axis=0)) @ res.x_rotations, res.x_scores, atol=1e-10)
+        assert np.allclose((y - y.mean(axis=0)) @ res.y_rotations, res.y_scores, atol=1e-10)
+
+    def test_default_budget_converges_at_split_seed_28(self):
+        # A component at dim 16 needs more than 500 power iterations here.
+        train, _ = split(gen_synthetic(SyntheticSpec()), 2.0 / 3.0, 28)
+        normed = MultiViewDataset(
+            tuple(View(zscore_normalize(v.features)[0], v.labels) for v in train.views),
+            train.class_count,
+        )
+        proj = bl.pls_fit(normed, dim=16)
+        assert [w.shape for w in proj.projections] == [(20, 15), (15, 15)]
 
     def test_pls_fit_projector(self):
         ds = blob_views(40)

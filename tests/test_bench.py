@@ -1,0 +1,63 @@
+"""Benchmark engine tests: one fit per (method, repeat), widths as leading columns."""
+
+import numpy as np
+import pytest
+
+from mvle import bench, embedding
+from mvle.baselines import cca_lda_fit, mvda_fit, pls_fit
+from mvle.cli import merge_config, run_benchmark
+from mvle.dataset import (
+    MultiViewDataset,
+    SyntheticSpec,
+    View,
+    gen_synthetic,
+    split,
+    zscore_normalize,
+)
+
+
+@pytest.fixture(scope="module")
+def default_ds():
+    return gen_synthetic(SyntheticSpec())
+
+
+@pytest.mark.parametrize("split_seed", [0, 7, 23])
+def test_widths_are_leading_columns_of_the_widest_fit(default_ds, split_seed):
+    # At these split seeds no dense fallback happens at any width.
+    train, _ = split(default_ds, 2.0 / 3.0, split_seed)
+    normed = MultiViewDataset(
+        tuple(View(zscore_normalize(v.features)[0], v.labels) for v in train.views),
+        train.class_count,
+    )
+    wide, _ = embedding.fit(train, 10, 16)
+    projectors = {f: f(normed, 16) for f in (mvda_fit, cca_lda_fit, pls_fit)}
+    for dim in (2, 4, 8):
+        narrow, _ = embedding.fit(train, 10, dim)
+        for y_wide, y in zip(wide.per_view, narrow.per_view):
+            assert np.array_equal(y_wide[:, :dim], y)
+        for fit_linear, proj in projectors.items():
+            for w_wide, w in zip(proj.projections, fit_linear(normed, dim).projections):
+                assert np.array_equal(w_wide[:, :dim], w), fit_linear.__name__
+
+
+def test_each_method_fits_once_per_repeat(default_ds, monkeypatch):
+    calls = {}
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(embedding, "fit", spy("embedding.fit", embedding.fit))
+    for name in ("cca_lda_fit", "pls_fit", "mvda_fit"):
+        monkeypatch.setattr(bench, name, spy(name, getattr(bench, name)))
+    cfg = merge_config("benchmark", {}, {"repeats": 2})
+    rows, runs = run_benchmark(default_ds, cfg)
+
+    assert calls == {"embedding.fit": 2, "cca_lda_fit": 2, "pls_fit": 2, "mvda_fit": 2}
+    # One record per (repeat, method, width, view), in that order.
+    order = [(r.seed, cfg["methods"].index(r.method), r.dim, r.view) for r in runs]
+    assert order == sorted(order)
+    assert len(runs) == 2 * (4 * 4 * 2 + 2)
+    assert len(rows) == 4 * 4 * 2 + 2

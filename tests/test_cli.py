@@ -1,11 +1,15 @@
 """Command-line interface tests: config handling, commands, benchmark."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mvle
 from mvle.baselines import elm_predict, elm_train
 from mvle.cli import main, merge_config, run_benchmark
 from mvle.dataset import (
@@ -244,6 +248,51 @@ class TestTrainMhonAndEval:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error: ConfigError:")
+
+    def test_unknown_activation_is_config_error(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        rc = main(
+            ["train-mhon"] + view_flags(data)
+            + ["--k", "6", "--activation", "relu", "--out-dir", str(tmp_path / "m")]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ConfigError:")
+        assert "relu" in err[0]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"view,n,accuracy\n1,48,0.5\n",
+            b"\x89PNG\r\n\x1a\n\xff\xfe",
+            b'{"format": "linear-projector", "version": 1}',
+            b"[1, 2, 3]",
+            b'{"format": "mhon-model", "version": 1}',
+        ],
+        ids=["csv", "binary", "other-format", "json-list", "missing-fields"],
+    )
+    def test_eval_rejects_a_file_that_is_no_model(self, tmp_path, capsys, content):
+        data = gen_small(tmp_path)
+        bogus = tmp_path / "model.json"
+        bogus.write_bytes(content)
+        rc = main(["eval", "--model", str(bogus), "--model", str(bogus)] + view_flags(data))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ModelFormatError:")
+
+
+def test_python_dash_m_mvle_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(mvle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "mvle", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "benchmark" in done.stdout
 
 
 BENCH_SMALL = [
