@@ -9,6 +9,7 @@ callers control normalization policy.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .graph import WeightGraph, degree_and_laplacian
 from .linalg import _fix_signs, generalized_eig_diag, ridge_solve
+from .mhon import _array_payload, _array_restore, _stats_payload, _stats_restore
 
 SCATTER_REG = 1e-6
 CCA_KAPPA = 1e-4
@@ -541,48 +543,28 @@ PROJECTOR_VERSION = 1
 
 def projector_to_json(proj: LinearProjector) -> str:
     """Serialize a projector to JSON; floats round-trip exactly."""
-    import json
-
-    def arr(a: np.ndarray) -> dict:
-        return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
-
     doc = {
         "format": PROJECTOR_FORMAT,
         "version": PROJECTOR_VERSION,
         "method": proj.method,
-        "projections": [arr(w) for w in proj.projections],
+        "projections": [_array_payload(w) for w in proj.projections],
         "norm_stats": None
         if proj.norm_stats is None
-        else [
-            {"mean": [float(v) for v in s.mean], "std": [float(v) for v in s.std]}
-            for s in proj.norm_stats
-        ],
+        else [_stats_payload(s) for s in proj.norm_stats],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def projector_from_json(text: str) -> LinearProjector:
     """Rebuild a projector from :func:`projector_to_json` output."""
-    import json
-
     doc = json.loads(text)
     if doc.get("format") != PROJECTOR_FORMAT:
         raise ValueError(f"not a {PROJECTOR_FORMAT} document")
     if doc.get("version") != PROJECTOR_VERSION:
         raise ValueError(f"unsupported version {doc.get('version')}")
-    projections = tuple(
-        np.array(p["data"], dtype=np.float64).reshape(p["shape"])
-        for p in doc["projections"]
-    )
-    stats = None
-    if doc["norm_stats"] is not None:
-        stats = tuple(
-            NormStats(
-                mean=np.array(s["mean"], dtype=np.float64),
-                std=np.array(s["std"], dtype=np.float64),
-            )
-            for s in doc["norm_stats"]
-        )
+    stats = doc["norm_stats"]
     return LinearProjector(
-        method=doc["method"], projections=projections, norm_stats=stats
+        method=doc["method"],
+        projections=tuple(_array_restore(p) for p in doc["projections"]),
+        norm_stats=None if stats is None else tuple(_stats_restore(s) for s in stats),
     )

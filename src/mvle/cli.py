@@ -20,6 +20,7 @@ from .dataset import (
     NONLINEARITY_MODES,
     MultiViewDataset,
     SyntheticSpec,
+    View,
     gen_synthetic,
     load_view_csv,
     write_view_csv,
@@ -431,17 +432,21 @@ def cmd_eval(cfg: dict) -> int:
         raise ConfigError("config key 'views' is required for eval")
     models = [mhon.load_model(p) for p in cfg["models"]]
     views = [load_view_csv(v["features"], v["labels"]) for v in cfg["views"]]
+    if len(models) == 1 and models[0].view_id == 0 and len(views) > 1:
+        # One concat model scores all views side by side.
+        ds = MultiViewDataset(views=tuple(views), class_count=models[0].class_count)
+        views = [View(*ds.view_data(0))]
     if len(models) != len(views):
         raise ConfigError(
             f"got {len(models)} models but {len(views)} views; they pair one-to-one"
         )
     lines = []
-    for i, (model, view) in enumerate(zip(models, views), start=1):
+    for model, view in zip(models, views):
         pred = mhon.predict(model, view.features)
         acc = accuracy(pred, view.labels)
-        label = "concat" if model.view_id == 0 else f"view {model.view_id or i}"
+        label = "concat" if model.view_id == 0 else f"view {model.view_id}"
         print(f"eval: {label} accuracy={acc:.6f} n={view.n}")
-        lines.append((model.view_id if model.view_id else i, view.n, acc))
+        lines.append((model.view_id, view.n, acc))
     if cfg.get("out"):
         with open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write("view,n,accuracy\n")

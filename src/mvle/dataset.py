@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatchError,
     NonNumericCellError,
     RaggedRowsError,
+    UnpairedViewsError,
 )
 
 
@@ -89,9 +90,24 @@ class MultiViewDataset:
         return sum(v.n for v in self.views)
 
     def view_data(self, view: int) -> tuple[np.ndarray, np.ndarray]:
-        """Features and labels of 1-based ``view``; view 0 is all views side by side."""
+        """Features and labels of 1-based ``view``; view 0 is all views side by side.
+
+        Raises
+        ------
+        UnpairedViewsError
+            If ``view`` is 0 and the views differ in sample count or label
+            sequence.
+        """
         if view == 0:
-            return np.hstack([v.features for v in self.views]), self.views[0].labels
+            ns = [v.n for v in self.views]
+            if len(set(ns)) != 1:
+                raise UnpairedViewsError(
+                    f"views side by side need equal sample counts, got {ns}"
+                )
+            first = self.views[0].labels
+            if any(not np.array_equal(v.labels, first) for v in self.views[1:]):
+                raise UnpairedViewsError("views side by side need one shared label sequence")
+            return np.hstack([v.features for v in self.views]), first
         return self.views[view - 1].features, self.views[view - 1].labels
 
 

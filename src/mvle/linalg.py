@@ -145,9 +145,14 @@ def generalized_eig_diag(l, d) -> EigenResult:
 def ridge_solve(h, t, lam: float) -> np.ndarray:
     """Ridge-regularized least squares ``argmin ||H b - T||^2 + lam ||b||^2``.
 
-    Solves the normal equations ``(H^T H + lam I) b = H^T T`` directly.
-    ``t`` may be a vector or a matrix of stacked targets; the result has
-    the matching shape.
+    Solves the smaller of the two normal-equation systems. With ``n`` rows
+    and ``p`` columns in ``H``, the primal ``(H^T H + lam I) b = H^T T`` is
+    p×p; when ``lam > 0`` and ``n < p``, the dual ``(H H^T + lam I) a = T``
+    is n×n and gives the same ``b = H^T a``, because
+    ``(H^T H + lam I)^{-1} H^T = H^T (H H^T + lam I)^{-1}``. The choice
+    follows from the shape of ``h`` alone. ``lam == 0`` always takes the
+    primal form and its rank check. ``t`` may be a vector or a matrix of
+    stacked targets; the result has the matching shape.
 
     Raises
     ------
@@ -166,9 +171,10 @@ def ridge_solve(h, t, lam: float) -> np.ndarray:
         raise ValueError("t contains NaN or Inf")
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    gram = hm.T @ hm
+    n, p = hm.shape
+    dual = lam > 0.0 and n < p
+    gram = hm @ hm.T if dual else hm.T @ hm
     gram = 0.5 * (gram + gram.T)
-    p = gram.shape[0]
     if lam == 0.0:
         rank = np.linalg.matrix_rank(gram, hermitian=True)
         if rank < p:
@@ -177,10 +183,12 @@ def ridge_solve(h, t, lam: float) -> np.ndarray:
                 "supply a positive ridge parameter"
             )
     else:
-        gram = gram + lam * np.eye(p)
-    rhs = hm.T @ tm
+        gram = gram + lam * np.eye(gram.shape[0])
+    rhs = tm if dual else hm.T @ tm
     try:
         beta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"normal equations are singular: {exc}") from exc
+    if dual:
+        beta = hm.T @ beta
     return beta[:, 0] if single else beta

@@ -13,6 +13,7 @@ seeded stream, so training is fully deterministic given (inputs, hyper).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from .errors import (
     LabelOutOfRangeError,
     LengthMismatchError,
     ModelFormatError,
-    UnpairedViewsError,
 )
 from .linalg import ridge_solve
 
@@ -205,19 +205,11 @@ def train_concat(
     UnpairedViewsError
         If the views differ in sample count or label sequence.
     """
-    ns = [v.n for v in ds.views]
-    if len(set(ns)) != 1:
-        raise UnpairedViewsError(
-            f"concat mode needs paired views with equal sample counts, got {ns}"
-        )
-    for v in ds.views[1:]:
-        if not np.array_equal(v.labels, ds.views[0].labels):
-            raise UnpairedViewsError("concat mode needs one shared label sequence")
+    x, labels = ds.view_data(0)
     stats = NormStats(
         mean=np.concatenate([s.mean for s in norm_stats]),
         std=np.concatenate([s.std for s in norm_stats]),
     )
-    x, labels = ds.view_data(0)
     return train(x, np.hstack(list(targets)), labels, ds.class_count, stats, hyper, view_id=0)
 
 
@@ -258,6 +250,17 @@ def _array_restore(payload: dict) -> np.ndarray:
     return np.array(payload["data"], dtype=np.float64).reshape(payload["shape"])
 
 
+def _stats_payload(stats: NormStats) -> dict:
+    return {"mean": [float(v) for v in stats.mean], "std": [float(v) for v in stats.std]}
+
+
+def _stats_restore(payload: dict) -> NormStats:
+    return NormStats(
+        mean=np.array(payload["mean"], dtype=np.float64),
+        std=np.array(payload["std"], dtype=np.float64),
+    )
+
+
 FORMAT_NAME = "mhon-model"
 FORMAT_VERSION = 1
 
@@ -276,14 +279,8 @@ def to_json(model: MhonModel) -> str:
             "ridge_lambda": model.hyper.ridge_lambda,
             "seed": model.hyper.seed,
         },
-        "norm_stats": {
-            "mean": [float(v) for v in model.norm_stats.mean],
-            "std": [float(v) for v in model.norm_stats.std],
-        },
-        "guide_stats": {
-            "mean": [float(v) for v in model.guide_stats.mean],
-            "std": [float(v) for v in model.guide_stats.std],
-        },
+        "norm_stats": _stats_payload(model.norm_stats),
+        "guide_stats": _stats_payload(model.guide_stats),
         "weights": {
             "a1": _array_payload(model.a1),
             "b1": _array_payload(model.b1),
@@ -302,8 +299,10 @@ def from_json(text: str | bytes) -> MhonModel:
     Raises
     ------
     ModelFormatError
-        If ``text`` is not JSON, not a version-1 ``mhon-model`` document, or
-        lacks or mistypes one of its fields.
+        If ``text`` is not JSON, not a version-1 ``mhon-model`` document,
+        lacks or mistypes one of its fields, holds arrays whose shapes
+        disagree with each other or with ``h1``, ``h2`` and
+        ``class_count``, or holds a NaN or Inf.
     """
     try:
         doc = json.loads(text)
@@ -329,28 +328,58 @@ def _model_from_doc(doc: dict) -> MhonModel:
         seed=doc["hyper"]["seed"],
         activation=doc["activation"],
     )
-    stats = NormStats(
-        mean=np.array(doc["norm_stats"]["mean"], dtype=np.float64),
-        std=np.array(doc["norm_stats"]["std"], dtype=np.float64),
-    )
-    guide_stats = NormStats(
-        mean=np.array(doc["guide_stats"]["mean"], dtype=np.float64),
-        std=np.array(doc["guide_stats"]["std"], dtype=np.float64),
-    )
     w = doc["weights"]
-    return MhonModel(
+    model = MhonModel(
         view_id=int(doc["view_id"]),
         class_count=int(doc["class_count"]),
-        norm_stats=stats,
+        norm_stats=_stats_restore(doc["norm_stats"]),
         a1=_array_restore(w["a1"]),
         b1=_array_restore(w["b1"]),
         g=_array_restore(w["g"]),
-        guide_stats=guide_stats,
+        guide_stats=_stats_restore(doc["guide_stats"]),
         a2=_array_restore(w["a2"]),
         b2=_array_restore(w["b2"]),
         b_out=_array_restore(w["b_out"]),
         hyper=hyper,
     )
+    _check_consistent(model)
+    return model
+
+
+def _check_consistent(model: MhonModel) -> None:
+    # Every array's shape follows from d = rows of a1, the hidden widths h1
+    # and h2, dim = columns of g, and the class count.
+    if model.a1.ndim != 2 or model.g.ndim != 2:
+        raise ModelFormatError(
+            f"a1 and g must be 2-D, got shapes {model.a1.shape} and {model.g.shape}"
+        )
+    if model.class_count < 1 or not math.isfinite(model.hyper.ridge_lambda):
+        raise ModelFormatError(
+            f"class_count must be >= 1 and ridge_lambda finite, got "
+            f"{model.class_count} and {model.hyper.ridge_lambda}"
+        )
+    d, dim = model.a1.shape[0], model.g.shape[1]
+    h1, h2, c = model.hyper.h1, model.hyper.h2, model.class_count
+    expected = {
+        "norm_stats.mean": (model.norm_stats.mean, (d,)),
+        "norm_stats.std": (model.norm_stats.std, (d,)),
+        "a1": (model.a1, (d, h1)),
+        "b1": (model.b1, (h1,)),
+        "g": (model.g, (h1, dim)),
+        "guide_stats.mean": (model.guide_stats.mean, (dim,)),
+        "guide_stats.std": (model.guide_stats.std, (dim,)),
+        "a2": (model.a2, (dim, h2)),
+        "b2": (model.b2, (h2,)),
+        "b_out": (model.b_out, (h2, c)),
+    }
+    for name, (array, shape) in expected.items():
+        if array.shape != shape:
+            raise ModelFormatError(
+                f"{name} has shape {array.shape}, expected {shape} "
+                f"(d={d}, h1={h1}, dim={dim}, h2={h2}, class_count={c})"
+            )
+        if not np.all(np.isfinite(array)):
+            raise ModelFormatError(f"{name} contains NaN or Inf")
 
 
 def save_model(model: MhonModel, path) -> None:

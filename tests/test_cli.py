@@ -235,6 +235,40 @@ class TestTrainMhonAndEval:
         assert (out / "mhon_concat.json").exists()
         assert not (out / "mhon_view1.json").exists()
 
+    def test_concat_model_evaluates_on_all_views(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        out = tmp_path / "concat"
+        assert main(
+            ["train-mhon"] + view_flags(data)
+            + ["--k", "6", "--dim", "3", "--mhon-mode", "concat",
+               "--out-dir", str(out)]
+        ) == 0
+        train_acc = re.search(r"concat train_accuracy=(\S+)", capsys.readouterr().out).group(1)
+        report = tmp_path / "eval.csv"
+        rc = main(
+            ["eval", "--model", str(out / "mhon_concat.json")] + view_flags(data)
+            + ["--out", str(report)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert f"eval: concat accuracy={train_acc} n=48" in captured.out
+        assert report.read_text().splitlines() == ["view,n,accuracy", f"0,48,{train_acc}"]
+
+    def test_concat_model_rejects_unpaired_views(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        out = tmp_path / "concat"
+        assert main(
+            ["train-mhon"] + view_flags(data)
+            + ["--k", "6", "--dim", "3", "--mhon-mode", "concat",
+               "--out-dir", str(out)]
+        ) == 0
+        labels = (data / "view2_labels.csv").read_text().splitlines()
+        (data / "view2_labels.csv").write_text("\n".join(labels[::-1]) + "\n")
+        rc = main(["eval", "--model", str(out / "mhon_concat.json")] + view_flags(data))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: UnpairedViewsError:")
+
     def test_model_view_count_mismatch(self, tmp_path, capsys):
         data = gen_small(tmp_path)
         out = tmp_path / "m"
@@ -276,6 +310,65 @@ class TestTrainMhonAndEval:
         bogus = tmp_path / "model.json"
         bogus.write_bytes(content)
         rc = main(["eval", "--model", str(bogus), "--model", str(bogus)] + view_flags(data))
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ModelFormatError:")
+
+
+def _drop_last_row(payload):
+    # Shrink an array payload by one leading entry along its first axis.
+    width = int(np.prod(payload["shape"][1:]))
+    payload["shape"][0] -= 1
+    payload["data"] = payload["data"][: len(payload["data"]) - width]
+
+
+def _drop_last_stat(stats):
+    stats["mean"].pop()
+    stats["std"].pop()
+
+
+MODEL_DEFECTS = {
+    "norm-stats-vs-a1-rows": lambda doc: _drop_last_stat(doc["norm_stats"]),
+    "a1-vs-h1": lambda doc: doc["hyper"].update(h1=doc["hyper"]["h1"] + 1),
+    "b1-vs-h1": lambda doc: _drop_last_row(doc["weights"]["b1"]),
+    "g-vs-a1-columns": lambda doc: _drop_last_row(doc["weights"]["g"]),
+    "guide-stats-vs-g-columns": lambda doc: _drop_last_stat(doc["guide_stats"]),
+    "a2-vs-g-columns": lambda doc: _drop_last_row(doc["weights"]["a2"]),
+    "b2-vs-h2": lambda doc: _drop_last_row(doc["weights"]["b2"]),
+    "b-out-vs-h2": lambda doc: _drop_last_row(doc["weights"]["b_out"]),
+    "b-out-vs-class-count": lambda doc: doc.update(class_count=doc["class_count"] + 1),
+    "nan-in-b-out": lambda doc: doc["weights"]["b_out"]["data"].__setitem__(0, float("nan")),
+    "inf-in-norm-stats": lambda doc: doc["norm_stats"]["std"].__setitem__(0, float("inf")),
+}
+
+
+class TestModelValidation:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        data = gen_small(root)
+        out = root / "models"
+        assert main(
+            ["train-mhon"] + view_flags(data)
+            + ["--k", "6", "--dim", "3", "--out-dir", str(out)]
+        ) == 0
+        return data, json.loads((out / "mhon_view1.json").read_text())
+
+    def test_untouched_model_evaluates(self, trained, tmp_path, capsys):
+        data, doc = trained
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["eval", "--model", str(path)] + view_flags(data, count=1))
+        assert rc == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+    def test_inconsistent_model_is_a_format_error(self, trained, tmp_path, capsys, defect):
+        data, doc = trained
+        doc = json.loads(json.dumps(doc))
+        MODEL_DEFECTS[defect](doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["eval", "--model", str(path)] + view_flags(data, count=1))
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: ModelFormatError:")

@@ -7,6 +7,8 @@ than re-calling the code under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvle.errors import NonSymmetricError, SingularDegreeError, SingularMatrixError
 from mvle.linalg import generalized_eig_diag, ridge_solve, sym_eig
@@ -24,6 +26,26 @@ def random_laplacian(rng, n):
     np.fill_diagonal(w, 0.0)
     d = w.sum(axis=1)
     return np.diag(d) - w, d
+
+
+def assert_stationary(h, t, lam, b):
+    # Oracle: central finite differences of the ridge objective vanish at b.
+    t2 = t.reshape(t.shape[0], -1)
+    b2 = b.reshape(h.shape[1], -1)
+
+    def objective(mat):
+        return np.sum((h @ mat - t2) ** 2) + lam * np.sum(mat**2)
+
+    eps = 1e-6
+    scale = max(1.0, abs(objective(b2)))
+    for i in range(b2.shape[0]):
+        for j in range(b2.shape[1]):
+            plus = b2.copy()
+            plus[i, j] += eps
+            minus = b2.copy()
+            minus[i, j] -= eps
+            grad = (objective(plus) - objective(minus)) / (2.0 * eps)
+            assert abs(grad) < 1e-8 * scale
 
 
 class TestSymEig:
@@ -161,25 +183,30 @@ class TestRidgeSolve:
         assert np.allclose(b, t / 2.0, atol=1e-10)
 
     def test_gradient_oracle(self):
-        # Oracle: central finite differences of the ridge objective at B.
         rng = np.random.default_rng(33)
         h = rng.normal(size=(20, 5))
         t = rng.normal(size=(20, 3))
-        lam = 0.1
+        assert_stationary(h, t, 0.1, ridge_solve(h, t, 0.1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 24),
+        p=st.integers(1, 24),
+        targets=st.sampled_from([None, 1, 3]),
+        lam=st.floats(1e-3, 10.0),
+    )
+    def test_matches_primal_oracle_in_both_shapes(self, seed, n, p, targets, lam):
+        # n < p takes the dual n×n system, n >= p the primal p×p one; both
+        # must give the primal normal-equation solution.
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(n, p))
+        t = rng.normal(size=n if targets is None else (n, targets))
         b = ridge_solve(h, t, lam)
-
-        def objective(mat):
-            return np.sum((h @ mat - t) ** 2) + lam * np.sum(mat**2)
-
-        eps = 1e-6
-        for i in range(5):
-            for j in range(3):
-                plus = b.copy()
-                plus[i, j] += eps
-                minus = b.copy()
-                minus[i, j] -= eps
-                grad = (objective(plus) - objective(minus)) / (2.0 * eps)
-                assert abs(grad) < 1e-8 * max(1.0, abs(objective(b)))
+        oracle = np.linalg.solve(h.T @ h + lam * np.eye(p), h.T @ t)
+        assert b.shape == oracle.shape
+        assert np.abs(b - oracle).max() <= 1e-9 * max(1.0, np.abs(oracle).max())
+        assert_stationary(h, t, lam, b)
 
     def test_solution_is_local_minimum(self):
         rng = np.random.default_rng(34)
@@ -206,6 +233,13 @@ class TestRidgeSolve:
         t = np.ones((6, 2))
         with pytest.raises(SingularMatrixError):
             ridge_solve(h, t, 0.0)
+
+    def test_lambda_zero_wide_design_rejected(self):
+        # Fewer rows than columns: H^T H is singular, and lam = 0 keeps the
+        # primal rank check rather than taking the dual form.
+        h = np.random.default_rng(36).normal(size=(4, 7))
+        with pytest.raises(SingularMatrixError):
+            ridge_solve(h, np.ones(4), 0.0)
 
     def test_rank_deficient_with_ridge_succeeds(self):
         h = np.ones((6, 3))
