@@ -1,4 +1,4 @@
-"""Comparison methods: single-view LE, LDA, CCA+LDA, PLS, MvDA, and ELM.
+"""Comparison methods: LDA, CCA+LDA, PLS, MvDA, and ELM.
 
 All projector-producing fits share one output type, :class:`LinearProjector`,
 whose ``transform`` applies optional stored normalization stats and then the
@@ -9,16 +9,13 @@ callers control normalization policy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import cdist
 from scipy.special import expit
 
 from .dataset import MultiViewDataset, NormStats, zscore_apply
-from .embedding import Embedding
 from .errors import (
     DimMismatchError,
     DimTooLargeError,
@@ -27,9 +24,7 @@ from .errors import (
     UnpairedViewsError,
     VcDimMismatchError,
 )
-from .graph import WeightGraph, degree_and_laplacian
-from .linalg import _fix_signs, generalized_eig_diag, ridge_solve
-from .mhon import _array_payload, _array_restore, _stats_payload, _stats_restore
+from .linalg import _fix_signs, ridge_solve
 
 SCATTER_REG = 1e-6
 CCA_KAPPA = 1e-4
@@ -57,66 +52,6 @@ class LinearProjector:
         if self.norm_stats is not None:
             xm = zscore_apply(xm, self.norm_stats[view_index])
         return xm @ w
-
-
-def le_fit(
-    x,
-    dim: int,
-    *,
-    k: int | None = None,
-    eps: float | None = None,
-    heat_t: float = 1.0,
-) -> tuple[Embedding, WeightGraph]:
-    """Single-view Laplacian eigenmap on raw feature distances.
-
-    Exactly one of ``k`` (symmetric K-nearest-neighbor adjacency) or ``eps``
-    (connect pairs with squared distance below ``eps``) selects the graph
-    mode. Edge weights are exp(-||x_a - x_b||^2 / heat_t). The all-ones
-    eigenvector is dropped, as in the multi-view fit.
-    """
-    from .bon import knn as knn_table
-
-    xm = np.asarray(x, dtype=np.float64)
-    if xm.ndim != 2 or xm.size == 0:
-        raise ValueError(f"need a nonempty 2-D array, got shape {xm.shape}")
-    if (k is None) == (eps is None):
-        raise ValueError("give exactly one of k or eps")
-    if heat_t <= 0:
-        raise ValueError(f"heat_t must be positive, got {heat_t}")
-    n = xm.shape[0]
-    if not 1 <= dim <= n - 1:
-        raise DimTooLargeError(f"dim must satisfy 1 <= dim <= {n - 1}, got {dim}")
-
-    sq = cdist(xm, xm, "sqeuclidean")
-    if k is not None:
-        table = knn_table(xm, k)
-        adj = np.zeros((n, n), dtype=bool)
-        rows = np.repeat(np.arange(n), k)
-        adj[rows, table.indices.ravel()] = True
-        adj |= adj.T
-    else:
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        adj = sq < eps
-        np.fill_diagonal(adj, False)
-
-    w = np.where(adj, np.exp(-sq / heat_t), 0.0)
-    np.fill_diagonal(w, 0.0)
-    w = np.triu(w, k=1)
-    w = w + w.T
-    degrees, laplacian = degree_and_laplacian(w)
-    graph = WeightGraph(
-        w=w, block_offsets=(0,), degrees=degrees, laplacian=laplacian, heat_t=float(heat_t)
-    )
-    eig = generalized_eig_diag(laplacian, degrees)
-    y = eig.vectors[:, 1 : dim + 1].copy()
-    emb = Embedding(
-        y=y,
-        per_view=(y,),
-        eigenvalues=eig.values[1 : dim + 1].copy(),
-        dim=dim,
-    )
-    return emb, graph
 
 
 def _class_scatters(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,28 +333,12 @@ def _mvda_scatters(ds: MultiViewDataset) -> tuple[np.ndarray, np.ndarray, list[i
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     total = int(offsets[-1])
 
-    padded_blocks = []
-    labels_all = []
-    for i, v in enumerate(ds.views):
-        block = np.zeros((v.n, total))
-        block[:, offsets[i] : offsets[i + 1]] = v.features
-        padded_blocks.append(block)
-        labels_all.append(v.labels)
-    e = np.vstack(padded_blocks)
-    lab = np.concatenate(labels_all)
-
-    s_w = np.zeros((total, total))
-    s_b = np.zeros((total, total))
-    grand = e.mean(axis=0)
-    for cls in range(1, ds.class_count + 1):
-        rows = e[lab == cls]
-        if rows.shape[0] == 0:
-            continue
-        mu = rows.mean(axis=0)
-        centered = rows - mu
-        s_w += centered.T @ centered
-        diff = (mu - grand)[:, None]
-        s_b += rows.shape[0] * (diff @ diff.T)
+    # Each view's features sit in its own column block of the stacked space.
+    e = np.vstack([
+        np.pad(v.features, ((0, 0), (offsets[i], total - offsets[i + 1])))
+        for i, v in enumerate(ds.views)
+    ])
+    s_w, s_b = _class_scatters(e, np.concatenate([v.labels for v in ds.views]))
     return s_b, s_w, dims
 
 
@@ -535,36 +454,3 @@ def elm_predict(clf: ElmClassifier, x) -> np.ndarray:
         )
     scores = expit(xm @ clf.a + clf.b) @ clf.beta
     return np.argmax(scores, axis=1).astype(np.int64) + 1
-
-
-PROJECTOR_FORMAT = "linear-projector"
-PROJECTOR_VERSION = 1
-
-
-def projector_to_json(proj: LinearProjector) -> str:
-    """Serialize a projector to JSON; floats round-trip exactly."""
-    doc = {
-        "format": PROJECTOR_FORMAT,
-        "version": PROJECTOR_VERSION,
-        "method": proj.method,
-        "projections": [_array_payload(w) for w in proj.projections],
-        "norm_stats": None
-        if proj.norm_stats is None
-        else [_stats_payload(s) for s in proj.norm_stats],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def projector_from_json(text: str) -> LinearProjector:
-    """Rebuild a projector from :func:`projector_to_json` output."""
-    doc = json.loads(text)
-    if doc.get("format") != PROJECTOR_FORMAT:
-        raise ValueError(f"not a {PROJECTOR_FORMAT} document")
-    if doc.get("version") != PROJECTOR_VERSION:
-        raise ValueError(f"unsupported version {doc.get('version')}")
-    stats = doc["norm_stats"]
-    return LinearProjector(
-        method=doc["method"],
-        projections=tuple(_array_restore(p) for p in doc["projections"]),
-        norm_stats=None if stats is None else tuple(_stats_restore(s) for s in stats),
-    )

@@ -40,11 +40,6 @@ class BonMatrix:
     def class_count(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def label_presence(self) -> np.ndarray:
-        """Boolean (n, c) mask: class present among the sample's neighbors."""
-        return self.counts > 0
-
     def label_set(self, i: int) -> set[int]:
         """Classes (1-based) that appear among sample ``i``'s neighbors."""
         return {int(t) + 1 for t in np.flatnonzero(self.counts[i] > 0)}

@@ -1,8 +1,11 @@
 """Command-line interface: gen, embed, train-mhon, eval, benchmark.
 
 Every command reads an optional flat JSON config (``--config``) and accepts
-the same keys as long-form flags; flags win. Unknown config keys are
-rejected by name. Failures print a single machine-parsable line to stderr
+the same keys as long-form flags; flags win. Each key is declared once, in
+:data:`OPTIONS`, and the parser and the merged config are generated from
+that table. Flag values reach the key's rule as text and are held to the
+same rule as config values. Unknown config keys are rejected by name.
+Failures print a single machine-parsable line to stderr
 (``error: <Type>: <message>``) and exit nonzero.
 """
 
@@ -11,8 +14,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+from typing import Any, Callable
 
 from . import embedding, mhon
 from .bench import METHODS, mhon_hyper, run_benchmark
@@ -35,72 +40,66 @@ MHON_MODES = ("per-view", "concat")
 # config validation
 
 
+class _Text(str):
+    """Text that number rules parse: a flag value, or an entry of a comma list.
+
+    A config file otherwise holds typed JSON values, so a plain string there
+    is rejected where a number is expected.
+    """
+
+
+def _parse_text(value, cast):
+    if isinstance(value, _Text):
+        try:
+            return cast(value)
+        except ValueError:
+            pass  # the type check below names the key and the text
+    return value
+
+
 def _as_int(value, key: str) -> int:
+    value = _parse_text(value, int)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-        value = int(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     return int(value)
 
 
-def _positive_int(value, key: str) -> int:
-    v = _as_int(value, key)
-    if v < 1:
-        raise ConfigError(f"config key {key!r} must be positive, got {v}")
-    return v
-
-
-def _nonneg_int(value, key: str) -> int:
-    v = _as_int(value, key)
-    if v < 0:
-        raise ConfigError(f"config key {key!r} must be >= 0, got {v}")
-    return v
-
-
 def _as_float(value, key: str) -> float:
+    value = _parse_text(value, float)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value}")
     return float(value)
 
 
-def _positive_float(value, key: str) -> float:
-    v = _as_float(value, key)
-    if v <= 0:
-        raise ConfigError(f"config key {key!r} must be positive, got {v}")
-    return v
+def _ranged(convert, ok, words: str):
+    """Rule: ``convert`` the value, then require ``ok`` of it (``words`` says how)."""
+    def check(value, key: str):
+        v = convert(value, key)
+        if not ok(v):
+            raise ConfigError(f"config key {key!r} must be {words}, got {v!r}")
+        return v
+    return check
 
 
-def _nonneg_float(value, key: str) -> float:
-    v = _as_float(value, key)
-    if v < 0:
-        raise ConfigError(f"config key {key!r} must be >= 0, got {v}")
-    return v
-
-
-def _fraction(value, key: str) -> float:
-    v = _as_float(value, key)
-    if not 0.0 < v < 1.0:
-        raise ConfigError(f"config key {key!r} must be in (0, 1), got {v}")
-    return v
+_positive_int = _ranged(_as_int, lambda v: v >= 1, "positive")
+_nonneg_int = _ranged(_as_int, lambda v: v >= 0, ">= 0")
+_positive_float = _ranged(_as_float, lambda v: v > 0, "positive")
+_nonneg_float = _ranged(_as_float, lambda v: v >= 0, ">= 0")
+_fraction = _ranged(_as_float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _string(value, key: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"config key {key!r} must be a nonempty string, got {value!r}")
-    return value
+    return str(value)
 
 
 def _choice(options):
-    def check(value, key: str) -> str:
-        v = _string(value, key)
-        if v not in options:
-            raise ConfigError(
-                f"config key {key!r} must be one of {list(options)}, got {v!r}"
-            )
-        return v
-    return check
+    return _ranged(_string, lambda v: v in options, f"one of {list(options)}")
 
 
 def _bool(value, key: str) -> bool:
@@ -114,24 +113,10 @@ def _int_list(value, key: str) -> list[int]:
         value = [part for part in value.split(",") if part.strip()]
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"config key {key!r} must be a nonempty list of integers")
-    out = []
-    for item in value:
-        if isinstance(item, str):
-            try:
-                item = int(item.strip())
-            except ValueError:
-                raise ConfigError(
-                    f"config key {key!r} has non-integer entry {item!r}"
-                ) from None
-        out.append(_positive_int(item, key))
-    return out
+    return [_positive_int(_Text(v) if isinstance(v, str) else v, key) for v in value]
 
 
-def _view_dims(value, key: str) -> list[int]:
-    dims = _int_list(value, key)
-    if len(dims) != 2:
-        raise ConfigError(f"config key {key!r} needs exactly 2 entries, got {len(dims)}")
-    return dims
+_view_dims = _ranged(_int_list, lambda v: len(v) == 2, "a pair D1,D2")
 
 
 def _str_list(value, key: str) -> list[str]:
@@ -148,152 +133,113 @@ def _views_list(value, key: str) -> list[dict]:
             f"config key {key!r} must be a nonempty list of "
             "{'features': path, 'labels': path} entries"
         )
-    out = []
     for i, entry in enumerate(value):
-        if (
-            not isinstance(entry, dict)
-            or set(entry) != {"features", "labels"}
-        ):
+        if not isinstance(entry, dict) or set(entry) != {"features", "labels"}:
             raise ConfigError(
                 f"config key {key!r} entry {i} must have exactly the keys "
                 "'features' and 'labels'"
             )
-        out.append(
-            {
-                "features": _string(entry["features"], key),
-                "labels": _string(entry["labels"], key),
-            }
-        )
-    return out
+    return [{name: _string(path, key) for name, path in entry.items()} for entry in value]
 
 
-_SYNTH_KEYS = {
-    "class_count": _positive_int,
-    "samples_per_class": _positive_int,
-    "view_dims": _view_dims,
-    "noise_sigma": _nonneg_float,
-    "nonlinearity": _choice(NONLINEARITY_MODES),
-}
+# ---------------------------------------------------------------------------
+# the option table
 
-_MHON_KEYS = {
-    "h1": _positive_int,
-    "h2": _positive_int,
-    "mhon_lambda": _positive_float,
-    "activation": _choice(mhon.ACTIVATIONS),
-    "mhon_mode": _choice(MHON_MODES),
-}
 
-_SCHEMAS: dict[str, dict] = {
-    "gen": {
-        **_SYNTH_KEYS,
-        "seed": _nonneg_int,
-        "out_dir": _string,
-    },
-    "embed": {
-        "views": _views_list,
-        "class_count": _positive_int,
-        "k": _positive_int,
-        "t": _positive_float,
-        "dim": _positive_int,
-        "seed": _nonneg_int,
-        "out_dir": _string,
-        "dump_graph": _bool,
-    },
-    "train-mhon": {
-        "views": _views_list,
-        "class_count": _positive_int,
-        "k": _positive_int,
-        "t": _positive_float,
-        "dim": _positive_int,
-        "seed": _nonneg_int,
-        "out_dir": _string,
-        **_MHON_KEYS,
-    },
-    "eval": {
-        "models": _str_list,
-        "views": _views_list,
-        "out": _string,
-    },
-    "benchmark": {
-        "views": _views_list,
-        "methods": _str_list,
-        "dims": _int_list,
-        "k": _positive_int,
-        "t": _positive_float,
-        "train_fraction": _fraction,
-        "repeats": _positive_int,
-        "seed": _nonneg_int,
-        "elm_hidden": _positive_int,
-        "elm_lambda": _positive_float,
-        "vc_lambda": _positive_float,
-        "out_dir": _string,
-        **_SYNTH_KEYS,
-        **_MHON_KEYS,
-    },
-}
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """One config key: its rule, default, help text and the commands taking it.
 
-_DEFAULTS: dict[str, dict] = {
-    "gen": {
-        "class_count": 4,
-        "samples_per_class": 60,
-        "view_dims": [20, 15],
-        "noise_sigma": 0.3,
-        "nonlinearity": "swissroll-like",
-        "seed": 7,
-        "out_dir": ".",
-    },
-    "embed": {
-        "class_count": None,
-        "k": 10,
-        "t": None,
-        "dim": 4,
-        "seed": 7,
-        "out_dir": ".",
-        "dump_graph": False,
-    },
-    "train-mhon": {
-        "class_count": None,
-        "k": 10,
-        "t": None,
-        "dim": 4,
-        "seed": 7,
-        "out_dir": ".",
-        "h1": None,
-        "h2": 256,
-        "mhon_lambda": 1e-2,
-        "activation": "softsign",
-        "mhon_mode": "per-view",
-    },
-    "eval": {
-        "out": None,
-    },
-    "benchmark": {
-        "views": None,
-        # mvda-vc is opt-in: it requires equal view dims, which the default
-        # synthetic dataset (20/15) deliberately does not have.
-        "methods": [m for m in METHODS if m != "mvda-vc"],
-        "dims": [2, 4, 8, 16],
-        "k": 10,
-        "t": None,
-        "train_fraction": 2.0 / 3.0,
-        "repeats": 5,
-        "seed": 7,
-        "elm_hidden": 256,
-        "elm_lambda": 1e-2,
-        "vc_lambda": 1.0,
-        "out_dir": ".",
-        "class_count": 4,
-        "samples_per_class": 60,
-        "view_dims": [20, 15],
-        "noise_sigma": 0.3,
-        "nonlinearity": "swissroll-like",
-        "h1": None,
-        "h2": 256,
-        "mhon_lambda": 1e-2,
-        "activation": "softsign",
-        "mhon_mode": "per-view",
-    },
-}
+    ``default`` is a value, or ``default(command, cfg)`` when it depends on
+    the command or on the keys given. Under a command in ``required`` the
+    key has no default and must be given. The flag is ``--`` plus the key
+    with dashes, unless ``flag`` names another; ``action`` is argparse's.
+    The ``views`` key is the exception: each view is one ``--features`` /
+    ``--labels`` pair of flags.
+    """
+
+    key: str
+    rule: Callable[[Any, str], Any]
+    default: Any
+    help: str
+    commands: tuple[str, ...]
+    required: tuple[str, ...] = ()
+    flag: str | None = None
+    action: str | None = None
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        if self.key == "views":
+            return ("--features", "--labels")
+        return (self.flag or "--" + self.key.replace("_", "-"),)
+
+
+def _synthetic(command: str, cfg: dict) -> bool:
+    """Whether ``command`` generates its dataset instead of reading CSV views."""
+    return command == "gen" or (command == "benchmark" and not cfg.get("views"))
+
+
+_SYNTH = ("gen", "benchmark")
+_FIT = ("embed", "train-mhon", "benchmark")
+_NET = ("train-mhon", "benchmark")
+_BENCH = ("benchmark",)
+_ALL_BUT_EVAL = ("gen",) + _FIT
+
+OPTIONS = (
+    Option("views", _views_list, None,
+           "a view's features CSV and labels CSV; repeat the pair once per view",
+           ("embed", "train-mhon", "eval", "benchmark"),
+           required=("embed", "train-mhon", "eval")),
+    Option("models", _str_list, None, "model JSON; repeat once per view", ("eval",),
+           required=("eval",), flag="--model", action="append"),
+    Option("out", _string, None, "also write the accuracies as CSV", ("eval",)),
+    Option("class_count", _positive_int,
+           lambda command, cfg: 4 if _synthetic(command, cfg) else None,
+           "number of classes (labels are 1..c); inferred from the labels of "
+           "CSV views, 4 for synthetic data", _ALL_BUT_EVAL),
+    Option("samples_per_class", _positive_int, 60, "synthetic rows per class, per view",
+           _SYNTH),
+    Option("view_dims", _view_dims, [20, 15], "synthetic feature width of each view, D1,D2",
+           _SYNTH),
+    Option("noise_sigma", _nonneg_float, 0.3, "synthetic additive Gaussian noise scale",
+           _SYNTH),
+    Option("nonlinearity", _choice(NONLINEARITY_MODES), "swissroll-like",
+           f"synthetic view-2 warp: {' or '.join(NONLINEARITY_MODES)}", _SYNTH),
+    # mvda-vc is opt-in: it requires equal view dims, which the default
+    # synthetic dataset (20/15) deliberately does not have.
+    Option("methods", _str_list, [m for m in METHODS if m != "mvda-vc"],
+           f"comma list of methods from {', '.join(METHODS)}; default all but mvda-vc",
+           _BENCH),
+    Option("dims", _int_list, [2, 4, 8, 16], "comma list of projection widths to sweep",
+           _BENCH),
+    Option("k", _positive_int, 10, "neighbors per sample, per view", _FIT),
+    Option("t", _positive_float, None, "heat-kernel bandwidth; default the class count",
+           _FIT),
+    Option("dim", _positive_int, 4, "embedding width", ("embed", "train-mhon")),
+    Option("train_fraction", _fraction, 2.0 / 3.0, "per-class train share", _BENCH),
+    Option("repeats", _positive_int, 5, "independent splits", _BENCH),
+    Option("seed", _nonneg_int, 7,
+           "generator seed, base split seed, network seed; recorded with the embedding",
+           _ALL_BUT_EVAL),
+    Option("elm_hidden", _positive_int, 256, "ELM classifier hidden units", _BENCH),
+    Option("elm_lambda", _positive_float, 1e-2, "ELM classifier ridge strength", _BENCH),
+    Option("vc_lambda", _positive_float, 1.0, "MvDA-VC coupling strength", _BENCH),
+    Option("h1", _positive_int, None,
+           "MHON first hidden width; default 4*max(input_dim, dim)", _NET),
+    Option("h2", _positive_int, 256, "MHON second hidden width", _NET),
+    Option("mhon_lambda", _positive_float, 1e-2, "MHON ridge strength", _NET),
+    Option("activation", _choice(mhon.ACTIVATIONS), "softsign",
+           f"MHON activation: {', '.join(mhon.ACTIVATIONS)}", _NET),
+    Option("mhon_mode", _choice(MHON_MODES), "per-view",
+           "one network per view, or one on the concatenated views", _NET),
+    Option("out_dir", _string, ".", "output directory", _ALL_BUT_EVAL),
+    Option("dump_graph", _bool, False, "also write the joint weight matrix as CSV",
+           ("embed",), action="store_true"),
+)
+
+
+def _options(command: str) -> list[Option]:
+    return [opt for opt in OPTIONS if command in opt.commands]
 
 
 def load_config_file(path) -> dict:
@@ -308,18 +254,28 @@ def load_config_file(path) -> dict:
 
 
 def merge_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
-    """Defaults, then config file, then flags; validate keys and values."""
-    schema = _SCHEMAS[command]
-    merged = dict(_DEFAULTS[command])
+    """Defaults, then config file, then flags; validate keys and values.
+
+    A null value counts as not given. A key required by ``command`` and
+    not given stays out of the result.
+    """
+    options = {opt.key: opt for opt in _options(command)}
+    given = {}
     for source in (file_cfg, flag_cfg):
         for key, value in source.items():
-            if key not in schema:
+            if key not in options:
                 raise ConfigError(f"unknown config key {key!r} for command {command}")
-            merged[key] = value
-    for key, value in merged.items():
-        if value is None:
+            if value is not None:
+                given[key] = value
+    merged = {}
+    for key, opt in options.items():
+        if key in given:
+            value = given[key]
+        elif command in opt.required:
             continue
-        merged[key] = schema[key](value, key)
+        else:
+            value = opt.default(command, given) if callable(opt.default) else opt.default
+        merged[key] = None if value is None else opt.rule(value, key)
     return merged
 
 
@@ -327,25 +283,22 @@ def merge_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
 # dataset assembly helpers
 
 
+def _load_views(cfg: dict) -> list[View]:
+    return [load_view_csv(entry["features"], entry["labels"]) for entry in cfg["views"]]
+
+
 def _load_dataset(cfg: dict) -> MultiViewDataset:
-    views = []
-    for entry in cfg["views"]:
-        views.append(load_view_csv(entry["features"], entry["labels"]))
-    class_count = cfg.get("class_count")
-    if class_count is None:
-        class_count = max(int(v.labels.max()) for v in views)
+    views = _load_views(cfg)
+    class_count = cfg["class_count"] or max(int(v.labels.max()) for v in views)
     return MultiViewDataset(tuple(views), class_count)
 
 
 def _synthetic_from_cfg(cfg: dict) -> MultiViewDataset:
-    spec = SyntheticSpec(
-        class_count=cfg["class_count"],
-        samples_per_class=cfg["samples_per_class"],
-        view_dims=tuple(cfg["view_dims"]),
-        noise_sigma=cfg["noise_sigma"],
-        nonlinearity=cfg["nonlinearity"],
-        seed=cfg["seed"],
-    )
+    keys = [field.name for field in dataclasses.fields(SyntheticSpec)]
+    try:
+        spec = SyntheticSpec(**{key: cfg[key] for key in keys})
+    except ValueError as exc:  # the generator needs two classes and two samples each
+        raise ConfigError(f"synthetic data: {exc}") from None
     return gen_synthetic(spec)
 
 
@@ -426,12 +379,8 @@ def cmd_train_mhon(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    if not cfg.get("models"):
-        raise ConfigError("config key 'models' is required for eval")
-    if not cfg.get("views"):
-        raise ConfigError("config key 'views' is required for eval")
     models = [mhon.load_model(p) for p in cfg["models"]]
-    views = [load_view_csv(v["features"], v["labels"]) for v in cfg["views"]]
+    views = _load_views(cfg)
     if len(models) == 1 and models[0].view_id == 0 and len(views) > 1:
         # One concat model scores all views side by side.
         ds = MultiViewDataset(views=tuple(views), class_count=models[0].class_count)
@@ -457,10 +406,10 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_benchmark(cfg: dict) -> int:
-    if cfg.get("views"):
-        ds = _load_dataset(cfg)
-    else:
+    if _synthetic("benchmark", cfg):
         ds = _synthetic_from_cfg(cfg)
+    else:
+        ds = _load_dataset(cfg)
     rows, runs = run_benchmark(ds, cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -469,6 +418,7 @@ def cmd_benchmark(cfg: dict) -> int:
         fh.write(render_report_csv(rows))
     runs_path = os.path.join(out_dir, "report_runs.json")
     echo = {k: v for k, v in cfg.items() if k != "views"}
+    echo["class_count"] = ds.class_count
     with open(runs_path, "w", encoding="utf-8") as fh:
         json.dump(
             {"config": echo, "runs": [dataclasses.asdict(r) for r in runs]},
@@ -485,24 +435,13 @@ def cmd_benchmark(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-
-def _add_views_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--features", action="append", metavar="PATH",
-                   help="features CSV; repeat once per view, paired with --labels")
-    p.add_argument("--labels", action="append", metavar="PATH",
-                   help="labels CSV; repeat once per view, paired with --features")
-
-
-def _views_from_flags(args) -> list[dict] | None:
-    feats = getattr(args, "features", None)
-    labs = getattr(args, "labels", None)
-    if feats is None and labs is None:
-        return None
-    if feats is None or labs is None or len(feats) != len(labs):
-        raise ConfigError(
-            "--features and --labels must be given the same number of times"
-        )
-    return [{"features": f, "labels": l} for f, l in zip(feats, labs)]
+_COMMANDS = {
+    "gen": (cmd_gen, "generate a synthetic paired-view dataset"),
+    "embed": (cmd_embed, "fit the multi-view embedding from CSVs"),
+    "train-mhon": (cmd_train_mhon, "fit embedding and train per-view networks"),
+    "eval": (cmd_eval, "evaluate saved models on labeled views"),
+    "benchmark": (cmd_benchmark, "run the repeated split/fit/eval protocol"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,105 +450,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-view subspace learning benchmark toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a synthetic paired-view dataset")
-    p_gen.add_argument("--config", metavar="PATH")
-    p_gen.add_argument("--class-count", type=int, dest="class_count")
-    p_gen.add_argument("--samples-per-class", type=int, dest="samples_per_class")
-    p_gen.add_argument("--view-dims", dest="view_dims", metavar="D1,D2")
-    p_gen.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p_gen.add_argument("--nonlinearity", choices=list(NONLINEARITY_MODES))
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--out-dir", dest="out_dir")
-
-    p_embed = sub.add_parser("embed", help="fit the multi-view embedding from CSVs")
-    p_embed.add_argument("--config", metavar="PATH")
-    _add_views_flags(p_embed)
-    p_embed.add_argument("--class-count", type=int, dest="class_count")
-    p_embed.add_argument("--k", type=int)
-    p_embed.add_argument("--t", type=float)
-    p_embed.add_argument("--dim", type=int)
-    p_embed.add_argument("--seed", type=int)
-    p_embed.add_argument("--out-dir", dest="out_dir")
-    p_embed.add_argument("--dump-graph", dest="dump_graph", action="store_true",
-                         default=None, help="also write the joint weight matrix as CSV")
-
-    p_train = sub.add_parser("train-mhon", help="fit embedding and train per-view networks")
-    p_train.add_argument("--config", metavar="PATH")
-    _add_views_flags(p_train)
-    p_train.add_argument("--class-count", type=int, dest="class_count")
-    p_train.add_argument("--k", type=int)
-    p_train.add_argument("--t", type=float)
-    p_train.add_argument("--dim", type=int)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--h1", type=int)
-    p_train.add_argument("--h2", type=int)
-    p_train.add_argument("--mhon-lambda", type=float, dest="mhon_lambda")
-    p_train.add_argument("--activation")
-    p_train.add_argument("--mhon-mode", dest="mhon_mode", choices=list(MHON_MODES))
-    p_train.add_argument("--out-dir", dest="out_dir")
-
-    p_eval = sub.add_parser("eval", help="evaluate saved models on labeled views")
-    p_eval.add_argument("--config", metavar="PATH")
-    p_eval.add_argument("--model", action="append", dest="models", metavar="PATH",
-                        help="model JSON; repeat once per view")
-    _add_views_flags(p_eval)
-    p_eval.add_argument("--out", metavar="PATH")
-
-    p_bench = sub.add_parser("benchmark", help="run the repeated split/fit/eval protocol")
-    p_bench.add_argument("--config", metavar="PATH")
-    _add_views_flags(p_bench)
-    p_bench.add_argument("--class-count", type=int, dest="class_count")
-    p_bench.add_argument("--samples-per-class", type=int, dest="samples_per_class")
-    p_bench.add_argument("--view-dims", dest="view_dims", metavar="D1,D2")
-    p_bench.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p_bench.add_argument("--nonlinearity", choices=list(NONLINEARITY_MODES))
-    p_bench.add_argument("--methods", metavar="M1,M2,...")
-    p_bench.add_argument("--dims", metavar="D1,D2,...")
-    p_bench.add_argument("--k", type=int)
-    p_bench.add_argument("--t", type=float)
-    p_bench.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p_bench.add_argument("--repeats", type=int)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--elm-hidden", type=int, dest="elm_hidden")
-    p_bench.add_argument("--elm-lambda", type=float, dest="elm_lambda")
-    p_bench.add_argument("--vc-lambda", type=float, dest="vc_lambda")
-    p_bench.add_argument("--h1", type=int)
-    p_bench.add_argument("--h2", type=int)
-    p_bench.add_argument("--mhon-lambda", type=float, dest="mhon_lambda")
-    p_bench.add_argument("--activation")
-    p_bench.add_argument("--mhon-mode", dest="mhon_mode", choices=list(MHON_MODES))
-    p_bench.add_argument("--out-dir", dest="out_dir")
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", metavar="PATH", help="JSON object of config keys")
+        for opt in _options(command):
+            if opt.key == "views":
+                for flag in opt.flags:
+                    p.add_argument(flag, action="append", metavar="PATH", help=opt.help)
+            else:
+                # Flags stay text (no type= or choices=): the option's rule checks them.
+                p.add_argument(*opt.flags, dest=opt.key, action=opt.action, default=None,
+                               help=opt.help)
     return parser
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "embed": cmd_embed,
-    "train-mhon": cmd_train_mhon,
-    "eval": cmd_eval,
-    "benchmark": cmd_benchmark,
-}
+def _views_from_flags(args) -> list[dict] | None:
+    if args.features is None and args.labels is None:
+        return None
+    if len(args.features or ()) != len(args.labels or ()):
+        raise ConfigError(
+            "--features and --labels must be given the same number of times"
+        )
+    return [{"features": f, "labels": l} for f, l in zip(args.features, args.labels)]
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = args.command
     try:
-        file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
+        file_cfg = load_config_file(args.config) if args.config else {}
         flag_cfg = {}
-        for key in _SCHEMAS[command]:
-            value = getattr(args, key, None)
-            if value is not None:
-                flag_cfg[key] = value
-        views = _views_from_flags(args)
-        if views is not None:
-            flag_cfg["views"] = views
+        for opt in _options(command):
+            value = _views_from_flags(args) if opt.key == "views" else getattr(args, opt.key)
+            flag_cfg[opt.key] = _Text(value) if isinstance(value, str) else value
         cfg = merge_config(command, file_cfg, flag_cfg)
-        if command in ("embed", "train-mhon") and not cfg.get("views"):
-            raise ConfigError(f"command {command} needs views (--features/--labels)")
-        return _COMMANDS[command](cfg)
+        for opt in _options(command):
+            if command in opt.required and not cfg.get(opt.key):
+                raise ConfigError(
+                    f"command {command} needs {opt.key!r} ({'/'.join(opt.flags)})"
+                )
+        return _COMMANDS[command][0](cfg)
     except (MvleError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

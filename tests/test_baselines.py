@@ -1,6 +1,4 @@
-"""Comparison-method tests: LE, LDA, CCA(+LDA), PLS, MvDA, ELM, projector IO."""
-
-import json
+"""Comparison-method tests: LDA, CCA(+LDA), PLS, MvDA, ELM."""
 
 import numpy as np
 import pytest
@@ -15,11 +13,9 @@ from mvle.dataset import (
     zscore_fit,
     zscore_normalize,
 )
-from mvle.embedding import objective
 from mvle.errors import (
     DimMismatchError,
     DimTooLargeError,
-    IsolatedSampleError,
     LengthMismatchError,
     NoConvergenceError,
     UnpairedViewsError,
@@ -36,69 +32,6 @@ def blob_views(seed, classes=3, per_class=20, d1=5, d2=5, sep=3.0):
     v1 = View(c1[labels - 1] + rng.normal(size=(n, d1)), labels)
     v2 = View(c2[labels - 1] + rng.normal(size=(n, d2)), labels)
     return MultiViewDataset(views=(v1, v2), class_count=classes)
-
-
-def d_orthonormal_competitor(rng, degrees, dim):
-    """Random Y with Y'DY = I, D-orthogonal to the all-ones direction."""
-    n = degrees.shape[0]
-    ones = np.ones(n)
-    basis = []
-    while len(basis) < dim:
-        v = rng.normal(size=n)
-        v -= (v @ (degrees * ones)) / (ones @ (degrees * ones)) * ones
-        for u in basis:
-            v -= (v @ (degrees * u)) * u
-        norm = np.sqrt(v @ (degrees * v))
-        if norm > 1e-8:
-            basis.append(v / norm)
-    return np.column_stack(basis)
-
-
-class TestLe:
-    def test_collinear_points_keep_line_order(self):
-        pts = np.array([[0.0], [1.0], [2.0]])
-        for k in (1, 2):
-            emb, _ = bl.le_fit(pts, dim=1, k=k, heat_t=4.0)
-            coords = emb.y[:, 0]
-            diffs = np.diff(coords)
-            assert np.all(diffs > 0) or np.all(diffs < 0)
-
-    def test_permutation_equivariance(self):
-        rng = np.random.default_rng(20)
-        x = rng.normal(size=(25, 4))
-        emb, _ = bl.le_fit(x, dim=2, k=5)
-        perm = rng.permutation(25)
-        emb2, _ = bl.le_fit(x[perm], dim=2, k=5)
-        assert np.allclose(emb2.eigenvalues, emb.eigenvalues, atol=1e-9)
-        assert np.allclose(np.abs(emb2.y), np.abs(emb.y[perm]), atol=1e-7)
-
-    def test_objective_minimal_among_competitors(self):
-        rng = np.random.default_rng(21)
-        x = rng.normal(size=(30, 3))
-        emb, graph = bl.le_fit(x, dim=2, k=6)
-        xi_fit = objective(emb.y, graph)
-        for _ in range(1000):
-            y = d_orthonormal_competitor(rng, graph.degrees, 2)
-            assert xi_fit <= objective(y, graph) + 1e-10
-
-    def test_eps_mode(self):
-        rng = np.random.default_rng(22)
-        x = rng.normal(size=(20, 3))
-        emb, graph = bl.le_fit(x, dim=2, eps=40.0)
-        assert np.all(graph.w[graph.w > 0] <= 1.0)
-        assert emb.y.shape == (20, 2)
-
-    def test_k_eps_exclusive(self):
-        x = np.random.default_rng(23).normal(size=(10, 2))
-        with pytest.raises(ValueError):
-            bl.le_fit(x, dim=1)
-        with pytest.raises(ValueError):
-            bl.le_fit(x, dim=1, k=3, eps=1.0)
-
-    def test_isolated_sample(self):
-        x = np.array([[0.0, 0.0], [0.1, 0.0], [50.0, 50.0]])
-        with pytest.raises(IsolatedSampleError):
-            bl.le_fit(x, dim=1, eps=1.0)
 
 
 class TestLda:
@@ -462,36 +395,3 @@ class TestProjectorCommon:
         proj = bl.mvda_fit(ds, dim=2)
         with pytest.raises(DimMismatchError):
             proj.transform(0, np.zeros((3, 9)))
-
-
-class TestProjectorJson:
-    def test_round_trip_exact(self):
-        ds = blob_views(55)
-        stats = tuple(zscore_fit(v.features) for v in ds.views)
-        proj = bl.mvda_fit(ds, dim=2, norm_stats=stats)
-        back = bl.projector_from_json(bl.projector_to_json(proj))
-        assert back.method == proj.method
-        for a, b in zip(back.projections, proj.projections):
-            assert np.array_equal(a, b)
-        for sa, sb in zip(back.norm_stats, proj.norm_stats):
-            assert np.array_equal(sa.mean, sb.mean)
-            assert np.array_equal(sa.std, sb.std)
-        x = ds.views[0].features
-        assert np.array_equal(back.transform(0, x), proj.transform(0, x))
-
-    def test_round_trip_without_stats(self):
-        ds = blob_views(56)
-        proj = bl.pls_fit(ds, dim=2)
-        back = bl.projector_from_json(bl.projector_to_json(proj))
-        assert back.norm_stats is None
-
-    def test_document_shape(self):
-        ds = blob_views(57)
-        doc = json.loads(bl.projector_to_json(bl.mvda_fit(ds, dim=2)))
-        assert doc["format"] == bl.PROJECTOR_FORMAT
-        assert doc["version"] == bl.PROJECTOR_VERSION
-        assert len(doc["projections"]) == 2
-
-    def test_rejects_wrong_format(self):
-        with pytest.raises(ValueError):
-            bl.projector_from_json(json.dumps({"format": "nope", "version": 1}))

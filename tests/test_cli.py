@@ -1,5 +1,6 @@
 """Command-line interface tests: config handling, commands, benchmark."""
 
+import argparse
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import mvle
 from mvle.baselines import elm_predict, elm_train
-from mvle.cli import main, merge_config, run_benchmark
+from mvle.cli import build_parser, main, merge_config, run_benchmark
 from mvle.dataset import (
     MultiViewDataset,
     SyntheticSpec,
@@ -79,6 +80,11 @@ class TestConfig:
         assert cfg["k"] == 9
         assert cfg["dim"] == 2
 
+    def test_null_value_means_default(self):
+        cfg = merge_config("embed", {"k": None, "dim": 2}, {"dim": None})
+        assert cfg["k"] == 10
+        assert cfg["dim"] == 2
+
     def test_value_validation(self):
         with pytest.raises(ConfigError):
             merge_config("benchmark", {"repeats": 0}, {})
@@ -86,6 +92,108 @@ class TestConfig:
             merge_config("benchmark", {"train_fraction": 1.5}, {})
         with pytest.raises(ConfigError):
             merge_config("embed", {"k": -3}, {})
+
+
+SYNTH_DEFAULTS = {
+    "class_count": 4, "samples_per_class": 60, "view_dims": [20, 15],
+    "noise_sigma": 0.3, "nonlinearity": "swissroll-like",
+}
+FIT_DEFAULTS = {"k": 10, "t": None, "seed": 7, "out_dir": "."}
+MHON_DEFAULTS = {
+    "h1": None, "h2": 256, "mhon_lambda": 1e-2, "activation": "softsign",
+    "mhon_mode": "per-view",
+}
+# Every command's config with no config file and no flags, as literal data.
+MERGED_DEFAULTS = {
+    "gen": {**SYNTH_DEFAULTS, "seed": 7, "out_dir": "."},
+    "embed": {**FIT_DEFAULTS, "class_count": None, "dim": 4, "dump_graph": False},
+    "train-mhon": {**FIT_DEFAULTS, "class_count": None, "dim": 4, **MHON_DEFAULTS},
+    "eval": {"out": None},
+    "benchmark": {
+        **FIT_DEFAULTS, **SYNTH_DEFAULTS, **MHON_DEFAULTS,
+        "views": None, "methods": ["mvle", "cca-lda", "pls", "mvda", "raw"],
+        "dims": [2, 4, 8, 16], "train_fraction": 2.0 / 3.0, "repeats": 5,
+        "elm_hidden": 256, "elm_lambda": 1e-2, "vc_lambda": 1.0,
+    },
+}
+SYNTH_FLAGS = {"--class-count", "--samples-per-class", "--view-dims", "--noise-sigma",
+               "--nonlinearity", "--seed", "--out-dir"}
+FIT_FLAGS = {"--features", "--labels", "--class-count", "--k", "--t", "--seed", "--out-dir"}
+MHON_FLAGS = {"--h1", "--h2", "--mhon-lambda", "--activation", "--mhon-mode"}
+# Every command's long flags, as literal data; --config and --help are everywhere.
+LONG_FLAGS = {
+    "gen": SYNTH_FLAGS,
+    "embed": FIT_FLAGS | {"--dim", "--dump-graph"},
+    "train-mhon": FIT_FLAGS | MHON_FLAGS | {"--dim"},
+    "eval": {"--model", "--features", "--labels", "--out"},
+    "benchmark": FIT_FLAGS | SYNTH_FLAGS | MHON_FLAGS | {
+        "--methods", "--dims", "--train-fraction", "--repeats", "--elm-hidden",
+        "--elm-lambda", "--vc-lambda",
+    },
+}
+
+
+def subparsers():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(MERGED_DEFAULTS))
+    def test_defaults_and_flags_per_command(self, command):
+        assert merge_config(command, {}, {}) == MERGED_DEFAULTS[command]
+        flags = {s for a in subparsers()[command]._actions
+                 for s in a.option_strings if s.startswith("--")}
+        assert flags == LONG_FLAGS[command] | {"--config", "--help"}
+
+    def test_every_option_is_documented_in_readme(self):
+        readme_path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme_path, encoding="utf-8") as fh:
+            readme = fh.read()
+        undocumented = set()
+        for command, sub in subparsers().items():
+            flags = {a.dest: a.option_strings for a in sub._actions
+                     if a.option_strings and a.dest not in ("help", "config")}
+            # Each config key has a flag; views come as --features/--labels pairs.
+            assert set(merge_config(command, {}, {})) - {"views"} <= set(flags)
+            for key, strings in flags.items():
+                if f"`{key}`" not in readme and not any(
+                    re.search(re.escape(flag) + r"(?![\w-])", readme) for flag in strings
+                ):
+                    undocumented.add((command, key))
+        assert not undocumented
+
+
+# Bad values, from flags or a config file, each fail with one ConfigError line
+# naming the key: (argv, config file text or None, key).
+BAD_VALUES = {
+    "embed-t-nan": (["embed", "--t", "nan"], None, "t"),
+    "train-mhon-lambda-inf": (["train-mhon", "--mhon-lambda", "inf"], None, "mhon_lambda"),
+    "gen-noise-nan": (["gen", "--noise-sigma", "nan"], None, "noise_sigma"),
+    "benchmark-elm-lambda-inf": (["benchmark", "--elm-lambda", "inf"], None, "elm_lambda"),
+    "config-file-t-nan": (["embed"], '{"t": NaN}', "t"),
+    "embed-k-text": (["embed", "--k", "abc"], None, "k"),
+    "gen-nonlinearity": (["gen", "--nonlinearity", "foo"], None, "nonlinearity"),
+    "train-mhon-mode": (["train-mhon", "--mhon-mode", "x"], None, "mhon_mode"),
+    "gen-one-class": (["gen", "--class-count", "1"], None, "class_count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_is_one_config_error_line(tmp_path, capsys, case):
+    argv, config_text, key = BAD_VALUES[case]
+    if argv[0] != "gen":
+        argv = argv + view_flags(gen_small(tmp_path))
+    if config_text is not None:
+        (tmp_path / "cfg.json").write_text(config_text)
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    capsys.readouterr()
+    rc = main(argv + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ConfigError:")
+    assert re.search(rf"\b{key}\b", err[0])
 
 
 class TestGen:
@@ -503,6 +611,20 @@ class TestBenchmark:
         assert doc["config"]["seed"] == 3
         assert doc["config"]["repeats"] == 1
         assert doc["config"]["class_count"] == 4
+
+    def test_class_count_inferred_from_views(self, tmp_path, capsys):
+        data = tmp_path / "three"
+        assert main(["gen"] + SMALL_GEN + ["--class-count", "3", "--out-dir", str(data)]) == 0
+        out = tmp_path / "bench"
+        rc = main(
+            ["benchmark"] + view_flags(data)
+            + ["--k", "6", "--dims", "2", "--repeats", "1", "--methods", "raw,mvle",
+               "--out-dir", str(out)]
+        )
+        assert rc == 0, capsys.readouterr().err
+        doc = json.loads((out / "report_runs.json").read_text())
+        assert doc["config"]["class_count"] == 3
+        assert {run["method"] for run in doc["runs"]} == {"raw", "mvle"}
 
     def test_run_benchmark_rejects_unknown_method_directly(self):
         ds = gen_synthetic(
