@@ -1,10 +1,14 @@
-"""Comparison methods: LDA, CCA+LDA, PLS, MvDA, and ELM.
+"""Comparison methods: LDA, CCA+LDA, PLS, MvDA, and the ELM classifier.
 
 All projector-producing fits share one output type, :class:`LinearProjector`,
-whose ``transform`` applies optional stored normalization stats and then the
-per-view projection matrix. The fits themselves consume features as given
-(centering internally only where the underlying covariances require it), so
-callers control normalization policy.
+whose ``transform`` applies the per-view projection matrix. The fits take
+features as given, already z-scored by the caller, and center internally
+only where the underlying covariances require it.
+
+The ELM (a random sigmoid layer with a ridge-solved readout onto one-hot
+labels) is the one random-feature ridge classifier of the package: the
+benchmark scores every representation with it, and it is the second stage
+of the MHON network (:mod:`mvle.mhon`).
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .dataset import MultiViewDataset, NormStats, zscore_apply
+from .dataset import MultiViewDataset
 from .errors import (
     DimMismatchError,
     DimTooLargeError,
+    LabelOutOfRangeError,
     LengthMismatchError,
     NoConvergenceError,
     UnpairedViewsError,
@@ -36,7 +41,6 @@ class LinearProjector:
 
     method: str
     projections: tuple[np.ndarray, ...]
-    norm_stats: tuple[NormStats, ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -49,8 +53,6 @@ class LinearProjector:
             raise DimMismatchError(
                 f"view {view_index} expects {w.shape[0]} features, got shape {xm.shape}"
             )
-        if self.norm_stats is not None:
-            xm = zscore_apply(xm, self.norm_stats[view_index])
         return xm @ w
 
 
@@ -73,6 +75,7 @@ def _class_scatters(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
 def _top_generalized(numer: np.ndarray, denom: np.ndarray, dim: int) -> np.ndarray:
     # Denominator gets a trace-scaled ridge so rank deficiency cannot break
     # the solve; eigenvalues come back ascending, so slice from the top.
+    # Columns are scaled to unit norm and sign-fixed.
     d = denom.shape[0]
     reg = SCATTER_REG * np.trace(denom) / d
     denom_reg = denom + reg * np.eye(d)
@@ -82,15 +85,15 @@ def _top_generalized(numer: np.ndarray, denom: np.ndarray, dim: int) -> np.ndarr
         _, vecs = scipy.linalg.eigh(numer, denom_reg)
     except scipy.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"generalized eigensolve failed: {exc}") from exc
-    return vecs[:, ::-1][:, :dim]
+    w = vecs[:, ::-1][:, :dim]
+    norms = np.linalg.norm(w, axis=0)
+    norms[norms == 0] = 1.0
+    return _fix_signs(w / norms)
 
 
 def _lda_directions(x: np.ndarray, labels: np.ndarray, dim: int) -> np.ndarray:
     s_w, s_b = _class_scatters(x, labels)
-    w = _top_generalized(s_b, s_w, dim)
-    norms = np.linalg.norm(w, axis=0)
-    norms[norms == 0] = 1.0
-    return _fix_signs(w / norms)
+    return _top_generalized(s_b, s_w, dim)
 
 
 def lda_fit(x, labels, dim: int) -> LinearProjector:
@@ -171,10 +174,7 @@ def cca_fit(x, y, dim: int | None = None, kappa: float = CCA_KAPPA) -> CcaResult
     return CcaResult(wx=wx, wy=wy, correlations=s[:r].copy())
 
 
-def cca_lda_fit(
-    ds: MultiViewDataset, dim: int, kappa: float = CCA_KAPPA,
-    norm_stats: tuple[NormStats, ...] | None = None,
-) -> LinearProjector:
+def cca_lda_fit(ds: MultiViewDataset, dim: int) -> LinearProjector:
     """CCA to the full canonical space, then per-view LDA on canonical scores.
 
     The discriminant stage is capped at ``class_count - 1`` columns, so the
@@ -187,7 +187,7 @@ def cca_lda_fit(
         raise UnpairedViewsError(f"paired views required: {v1.n} vs {v2.n} samples")
     if not np.array_equal(v1.labels, v2.labels):
         raise UnpairedViewsError("paired views must share one label sequence")
-    cca = cca_fit(v1.features, v2.features, dim=None, kappa=kappa)
+    cca = cca_fit(v1.features, v2.features)
     lda_dim = min(dim, ds.class_count - 1)
     if lda_dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -196,9 +196,7 @@ def cca_lda_fit(
         scores = (view.features - view.features.mean(axis=0)) @ w_cca
         w_lda = _lda_directions(scores, view.labels, lda_dim)
         projections.append(w_cca @ w_lda)
-    return LinearProjector(
-        method="cca-lda", projections=tuple(projections), norm_stats=norm_stats
-    )
+    return LinearProjector(method="cca-lda", projections=tuple(projections))
 
 
 @dataclass(frozen=True)
@@ -311,42 +309,19 @@ def _rotations(weights: list[np.ndarray], loadings: list[np.ndarray]) -> np.ndar
     return np.column_stack(rot)
 
 
-def pls_fit(
-    ds: MultiViewDataset, dim: int,
-    max_iter: int = 2000, tol: float = 1e-10,
-    norm_stats: tuple[NormStats, ...] | None = None,
-) -> LinearProjector:
-    """Paired-view PLS projector; rotations map raw features to scores."""
+def pls_fit(ds: MultiViewDataset, dim: int) -> LinearProjector:
+    """Paired-view PLS projector; rotations map features to scores."""
     if ds.view_count != 2:
         raise ValueError(f"needs exactly 2 views, got {ds.view_count}")
     v1, v2 = ds.views
-    result = nipals_pls(v1.features, v2.features, dim, max_iter=max_iter, tol=tol)
-    return LinearProjector(
-        method="pls",
-        projections=(result.x_rotations, result.y_rotations),
-        norm_stats=norm_stats,
-    )
-
-
-def _mvda_scatters(ds: MultiViewDataset) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    dims = [v.dim for v in ds.views]
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    total = int(offsets[-1])
-
-    # Each view's features sit in its own column block of the stacked space.
-    e = np.vstack([
-        np.pad(v.features, ((0, 0), (offsets[i], total - offsets[i + 1])))
-        for i, v in enumerate(ds.views)
-    ])
-    s_w, s_b = _class_scatters(e, np.concatenate([v.labels for v in ds.views]))
-    return s_b, s_w, dims
+    result = nipals_pls(v1.features, v2.features, dim)
+    return LinearProjector(method="pls", projections=(result.x_rotations, result.y_rotations))
 
 
 def mvda_fit(
     ds: MultiViewDataset,
     dim: int,
     view_consistency_lambda: float | None = None,
-    norm_stats: tuple[NormStats, ...] | None = None,
 ) -> LinearProjector:
     """Multi-view discriminant analysis over the stacked view space.
 
@@ -363,7 +338,10 @@ def mvda_fit(
     VcDimMismatchError
         If the coupling variant sees views of different widths.
     """
-    s_b, s_w, dims = _mvda_scatters(ds)
+    dims = [v.dim for v in ds.views]
+    # Each view's features sit in its own column block of the stacked space.
+    stacked = scipy.linalg.block_diag(*(v.features for v in ds.views))
+    s_w, s_b = _class_scatters(stacked, np.concatenate([v.labels for v in ds.views]))
     total = s_b.shape[0]
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -391,28 +369,31 @@ def mvda_fit(
         denom = s_w + view_consistency_lambda * coupling
 
     beta = _top_generalized(s_b, denom, dim)
-    norms = np.linalg.norm(beta, axis=0)
-    norms[norms == 0] = 1.0
-    beta = _fix_signs(beta / norms)
-
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    projections = tuple(
-        beta[offsets[i] : offsets[i + 1]].copy() for i in range(len(dims))
-    )
+    projections = tuple(block.copy() for block in np.split(beta, np.cumsum(dims)[:-1]))
     method = "mvda-vc" if view_consistency_lambda is not None else "mvda"
-    return LinearProjector(method=method, projections=projections, norm_stats=norm_stats)
+    return LinearProjector(method=method, projections=projections)
+
+
+def one_hot(labels, class_count: int) -> np.ndarray:
+    """0/1 target matrix of shape (n, class_count) for 1-based labels."""
+    lab = np.asarray(labels, dtype=np.int64)
+    if lab.size and (lab.min() < 1 or lab.max() > class_count):
+        raise LabelOutOfRangeError(
+            f"labels must lie in 1..{class_count}, found range "
+            f"[{lab.min()}, {lab.max()}]"
+        )
+    targets = np.zeros((lab.shape[0], class_count), dtype=np.float64)
+    targets[np.arange(lab.shape[0]), lab - 1] = 1.0
+    return targets
 
 
 @dataclass(frozen=True)
 class ElmClassifier:
-    """Single random sigmoid layer with a ridge-solved linear readout."""
+    """Single random sigmoid layer ``(a, b)`` with a ridge-solved linear readout."""
 
     a: np.ndarray
     b: np.ndarray
     beta: np.ndarray
-    class_count: int
-    ridge_lambda: float
-    seed: int
 
 
 def elm_train(
@@ -421,11 +402,13 @@ def elm_train(
     class_count: int,
     hidden: int = 256,
     ridge_lambda: float = 1e-2,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> ElmClassifier:
-    """Train the reference classifier on any feature representation."""
-    from .mhon import one_hot
+    """Train the classifier on any feature representation.
 
+    ``a`` then ``b`` are drawn from uniform(-1, 1) on ``default_rng(seed)``;
+    a ``Generator`` passed as ``seed`` is drawn from as it stands.
+    """
     xm = np.asarray(x, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
     if xm.ndim != 2 or xm.shape[0] != lab.shape[0]:
@@ -438,11 +421,12 @@ def elm_train(
     a = rng.uniform(-1.0, 1.0, size=(xm.shape[1], hidden))
     b = rng.uniform(-1.0, 1.0, size=hidden)
     h = expit(xm @ a + b)
-    beta = ridge_solve(h, one_hot(lab, class_count), ridge_lambda)
-    return ElmClassifier(
-        a=a, b=b, beta=beta, class_count=class_count,
-        ridge_lambda=ridge_lambda, seed=seed,
-    )
+    return ElmClassifier(a=a, b=b, beta=ridge_solve(h, one_hot(lab, class_count), ridge_lambda))
+
+
+def elm_scores(clf: ElmClassifier, x) -> np.ndarray:
+    """Per-class scores ``expit(x @ a + b) @ beta``."""
+    return expit(x @ clf.a + clf.b) @ clf.beta
 
 
 def elm_predict(clf: ElmClassifier, x) -> np.ndarray:
@@ -452,5 +436,4 @@ def elm_predict(clf: ElmClassifier, x) -> np.ndarray:
         raise DimMismatchError(
             f"classifier expects {clf.a.shape[0]} features, got shape {xm.shape}"
         )
-    scores = expit(xm @ clf.a + clf.b) @ clf.beta
-    return np.argmax(scores, axis=1).astype(np.int64) + 1
+    return np.argmax(elm_scores(clf, xm), axis=1).astype(np.int64) + 1

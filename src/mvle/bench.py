@@ -106,14 +106,7 @@ def _fit(method: str, sp: _Split, cfg: dict, max_dim: int):
 
     def score(view, dim):
         targets = [y[:, :dim] for y in emb.per_view]
-        if view == 0:
-            model = mhon.train_concat(sp.train, targets, art.norm_stats, hyper)
-        else:
-            x, labels = sp.train.view_data(view)
-            model = mhon.train(
-                x, targets[view - 1], labels, sp.train.class_count,
-                art.norm_stats[view - 1], hyper, view_id=view,
-            )
+        model = mhon.train_view(sp.train, view, targets, art.norm_stats, hyper)
         x_test, labels_test = sp.test.view_data(view)
         return (accuracy(mhon.predict(model, x_test), labels_test),
                 mhon.embed(model, x_test), labels_test)

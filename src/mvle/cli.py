@@ -28,6 +28,7 @@ from .dataset import (
     View,
     gen_synthetic,
     load_view_csv,
+    write_matrix_csv,
     write_view_csv,
 )
 from .errors import ConfigError, MvleError
@@ -70,9 +71,13 @@ def _as_float(value, key: str) -> float:
     value = _parse_text(value, float)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond the double range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"config key {key!r} must be finite, got {value}")
-    return float(value)
+    return value
 
 
 def _ranged(convert, ok, words: str):
@@ -246,7 +251,7 @@ def load_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -329,10 +334,7 @@ def cmd_embed(cfg: dict) -> int:
     paths = embedding.export_embedding(emb, art, cfg["out_dir"], seed=cfg["seed"])
     if cfg.get("dump_graph"):
         graph_path = os.path.join(cfg["out_dir"], "graph_w.csv")
-        with open(graph_path, "w", encoding="utf-8") as fh:
-            for row in art.graph.dense().w:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
+        write_matrix_csv(art.graph.dense().w, graph_path)
         paths.append(graph_path)
     # Y^T D Y = I makes the double sum of W_ab ||y_a - y_b||^2 equal 2 * sum(lambda).
     xi = 2.0 * float(emb.eigenvalues.sum())
@@ -350,29 +352,15 @@ def cmd_train_mhon(cfg: dict) -> int:
     os.makedirs(out_dir, exist_ok=True)
     hyper = mhon_hyper(cfg, cfg["seed"])
     paths = embedding.export_embedding(emb, art, out_dir, seed=cfg["seed"])
-    if cfg["mhon_mode"] == "concat":
-        models = [mhon.train_concat(ds, emb.per_view, art.norm_stats, hyper)]
-    else:
-        models = [
-            mhon.train(
-                view.features,
-                emb.per_view[i],
-                view.labels,
-                ds.class_count,
-                art.norm_stats[i],
-                hyper,
-                view_id=i + 1,
-            )
-            for i, view in enumerate(ds.views)
-        ]
-    for model in models:
-        name = "mhon_concat.json" if model.view_id == 0 else f"mhon_view{model.view_id}.json"
-        path = os.path.join(out_dir, name)
+    views = (0,) if cfg["mhon_mode"] == "concat" else range(1, ds.view_count + 1)
+    for view in views:
+        model = mhon.train_view(ds, view, emb.per_view, art.norm_stats, hyper)
+        path = os.path.join(out_dir, "mhon_concat.json" if view == 0 else f"mhon_view{view}.json")
         mhon.save_model(model, path)
         paths.append(path)
-        feats, labs = ds.view_data(model.view_id)
+        feats, labs = ds.view_data(view)
         acc = accuracy(mhon.predict(model, feats), labs)
-        tag = "concat" if model.view_id == 0 else f"view {model.view_id}"
+        tag = "concat" if view == 0 else f"view {view}"
         print(f"train-mhon: {tag} train_accuracy={acc:.6f} -> {path}")
     print(f"train-mhon: wrote {', '.join(paths)}")
     return 0
@@ -490,7 +478,7 @@ def main(argv=None) -> int:
                     f"command {command} needs {opt.key!r} ({'/'.join(opt.flags)})"
                 )
         return _COMMANDS[command][0](cfg)
-    except (MvleError, OSError) as exc:
+    except (MvleError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -142,11 +142,25 @@ def zscore_normalize(x) -> tuple[np.ndarray, NormStats]:
     return zscore_apply(x, stats), stats
 
 
+def _text_lines(path):
+    """The nonempty lines of a UTF-8 text file, stripped, with 1-based line numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield line_no, line
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_view_csv(features_path, labels_path) -> View:
     """Read a features/labels pair into a :class:`View`.
 
     Raises
     ------
+    ValueError
+        If a file is not UTF-8 text or the features file holds no rows.
     RaggedRowsError
         If the feature rows disagree on field count.
     NonNumericCellError
@@ -160,50 +174,40 @@ def load_view_csv(features_path, labels_path) -> View:
     """
     rows: list[list[float]] = []
     width = None
-    with open(features_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise RaggedRowsError(
-                    f"{features_path}: row {line_no} has {len(cells)} fields, expected {width}"
+    for line_no, line in _text_lines(features_path):
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise RaggedRowsError(
+                f"{features_path}: row {line_no} has {len(cells)} fields, expected {width}"
+            )
+        parsed = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCellError(
+                    f"{features_path}: row {line_no}, column {col}: {cell!r} is not numeric"
+                ) from None
+            if not math.isfinite(value):
+                raise NonNumericCellError(
+                    f"{features_path}: row {line_no}, column {col}: {cell!r} is not finite"
                 )
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise NonNumericCellError(
-                        f"{features_path}: row {line_no}, column {col}: {cell!r} is not numeric"
-                    ) from None
-                if not math.isfinite(value):
-                    raise NonNumericCellError(
-                        f"{features_path}: row {line_no}, column {col}: {cell!r} is not finite"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+            parsed.append(value)
+        rows.append(parsed)
 
     labels: list[int] = []
-    with open(labels_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                label = int(line)
-            except ValueError:
-                raise LabelOutOfRangeError(
-                    f"{labels_path}: line {line_no}: {line!r} is not an integer label"
-                ) from None
-            if label < 1:
-                raise LabelOutOfRangeError(
-                    f"{labels_path}: line {line_no}: label {label} is < 1"
-                )
-            labels.append(label)
+    for line_no, line in _text_lines(labels_path):
+        try:
+            label = int(line)
+        except ValueError:
+            raise LabelOutOfRangeError(
+                f"{labels_path}: line {line_no}: {line!r} is not an integer label"
+            ) from None
+        if label < 1:
+            raise LabelOutOfRangeError(f"{labels_path}: line {line_no}: label {label} is < 1")
+        labels.append(label)
 
     if len(rows) != len(labels):
         raise LengthMismatchError(
@@ -214,16 +218,21 @@ def load_view_csv(features_path, labels_path) -> View:
     return View(features=np.array(rows, dtype=np.float64), labels=np.array(labels, dtype=np.int64))
 
 
-def write_view_csv(view: View, features_path, labels_path) -> None:
-    """Write a view back to disk; round-trips through :func:`load_view_csv` exactly.
+def write_matrix_csv(matrix, path) -> None:
+    """Write the rows of a float matrix as CSV lines.
 
     Floats are written with ``repr``, the shortest decimal that recovers the
     same binary value, so identical arrays always produce identical bytes.
     """
-    with open(features_path, "w", encoding="utf-8") as fh:
-        for row in view.features:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in matrix:
             fh.write(",".join(repr(float(v)) for v in row))
             fh.write("\n")
+
+
+def write_view_csv(view: View, features_path, labels_path) -> None:
+    """Write a view back to disk; round-trips through :func:`load_view_csv` exactly."""
+    write_matrix_csv(view.features, features_path)
     with open(labels_path, "w", encoding="utf-8") as fh:
         for label in view.labels:
             fh.write(f"{int(label)}\n")

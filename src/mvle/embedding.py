@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import bon as bon_mod
-from .dataset import MultiViewDataset, NormStats, zscore_normalize
+from .dataset import MultiViewDataset, NormStats, write_matrix_csv, zscore_normalize
 from .errors import ClassTooSmallError, DimTooLargeError
 from .graph import CellGraph, WeightGraph, build_weight_graph
 from .linalg import _fix_signs, generalized_eig_diag
@@ -176,10 +176,7 @@ def export_embedding(
     paths = []
     for i, block in enumerate(embedding.per_view, start=1):
         path = os.path.join(out_dir, f"embedding_view{i}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in block:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
+        write_matrix_csv(block, path)
         paths.append(path)
     meta = {
         "eigenvalues": [float(v) for v in embedding.eigenvalues],

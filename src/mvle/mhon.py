@@ -4,10 +4,11 @@ Stage one maps normalized view features through a fixed random layer and
 ridge-solves a "guiding" readout onto the view's training embedding block,
 so new samples can be dropped into the learned space without rebuilding
 the graph. Stage two standardizes the guided coordinates (their numeric
-scale is an artifact of the eigenvector normalization, not a signal), feeds
-them through a second random layer (sigmoid), and ridge-solves one-hot
-class targets. Both random layers draw from uniform(-1, 1) on a single
-seeded stream, so training is fully deterministic given (inputs, hyper).
+scale is an artifact of the eigenvector normalization, not a signal) and
+trains the ELM classifier of :mod:`mvle.baselines` on them: a random sigmoid
+layer with a ridge-solved readout onto one-hot class targets. Both random
+layers draw from uniform(-1, 1) on one seeded stream (a1, b1, then a2, b2),
+so training is fully deterministic given (inputs, hyper).
 """
 
 from __future__ import annotations
@@ -19,13 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
+from .baselines import ElmClassifier, elm_scores, elm_train
 from .dataset import MultiViewDataset, NormStats, zscore_apply, zscore_fit
-from .errors import (
-    DimMismatchError,
-    LabelOutOfRangeError,
-    LengthMismatchError,
-    ModelFormatError,
-)
+from .errors import DimMismatchError, LengthMismatchError, ModelFormatError
 from .linalg import ridge_solve
 
 
@@ -33,20 +30,12 @@ def _softsign(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.abs(x))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return expit(x)
-
-
-def _tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 #: First-layer activations selectable by name; the second layer is always
 #: sigmoid. "softsign" is the default rectified-style saturating unit.
 ACTIVATIONS = {
     "softsign": _softsign,
-    "sigmoid": _sigmoid,
-    "tanh": _tanh,
+    "sigmoid": expit,
+    "tanh": np.tanh,
 }
 
 
@@ -98,19 +87,6 @@ class MhonModel:
     @property
     def embed_dim(self) -> int:
         return self.g.shape[1]
-
-
-def one_hot(labels, class_count: int) -> np.ndarray:
-    """0/1 target matrix of shape (n, class_count) for 1-based labels."""
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.size and (lab.min() < 1 or lab.max() > class_count):
-        raise LabelOutOfRangeError(
-            f"labels must lie in 1..{class_count}, found range "
-            f"[{lab.min()}, {lab.max()}]"
-        )
-    targets = np.zeros((lab.shape[0], class_count), dtype=np.float64)
-    targets[np.arange(lab.shape[0]), lab - 1] = 1.0
-    return targets
 
 
 def train(
@@ -172,10 +148,10 @@ def train(
         mean=col_means, std=np.full(dim, rms * np.sqrt(dim), dtype=np.float64)
     )
 
-    a2 = rng.uniform(-1.0, 1.0, size=(dim, resolved.h2))
-    b2 = rng.uniform(-1.0, 1.0, size=resolved.h2)
-    h2_out = _sigmoid(zscore_apply(z, guide_stats) @ a2 + b2)
-    b_out = ridge_solve(h2_out, one_hot(lab, class_count), resolved.ridge_lambda)
+    head = elm_train(
+        zscore_apply(z, guide_stats), lab, class_count, resolved.h2, resolved.ridge_lambda,
+        seed=rng,
+    )
 
     return MhonModel(
         view_id=view_id,
@@ -185,32 +161,37 @@ def train(
         b1=b1,
         g=g,
         guide_stats=guide_stats,
-        a2=a2,
-        b2=b2,
-        b_out=b_out,
+        a2=head.a,
+        b2=head.b,
+        b_out=head.beta,
         hyper=resolved,
     )
 
 
-def train_concat(
-    ds: MultiViewDataset, targets, norm_stats, hyper: MhonHyper = MhonHyper()
+def train_view(
+    ds: MultiViewDataset, view: int, targets, norm_stats, hyper: MhonHyper = MhonHyper()
 ) -> MhonModel:
-    """Train one network (view id 0) on all views side by side.
+    """Train the network of 1-based ``view``; view 0 is all views side by side.
 
-    ``targets`` and ``norm_stats`` hold each view's embedding block and
-    normalization statistics, joined in view order.
+    ``targets`` and ``norm_stats`` hold every view's embedding block and
+    normalization statistics in view order; view 0 joins them.
 
     Raises
     ------
     UnpairedViewsError
-        If the views differ in sample count or label sequence.
+        If ``view`` is 0 and the views differ in sample count or label
+        sequence.
     """
-    x, labels = ds.view_data(0)
-    stats = NormStats(
-        mean=np.concatenate([s.mean for s in norm_stats]),
-        std=np.concatenate([s.std for s in norm_stats]),
-    )
-    return train(x, np.hstack(list(targets)), labels, ds.class_count, stats, hyper, view_id=0)
+    x, labels = ds.view_data(view)
+    if view:
+        y, stats = targets[view - 1], norm_stats[view - 1]
+    else:
+        y = np.hstack(list(targets))
+        stats = NormStats(
+            mean=np.concatenate([s.mean for s in norm_stats]),
+            std=np.concatenate([s.std for s in norm_stats]),
+        )
+    return train(x, y, labels, ds.class_count, stats, hyper, view_id=view)
 
 
 def _check_width(model: MhonModel, xm: np.ndarray) -> None:
@@ -232,8 +213,7 @@ def embed(model: MhonModel, x) -> np.ndarray:
 def decision_values(model: MhonModel, x) -> np.ndarray:
     """Per-class scores for new raw samples."""
     zn = zscore_apply(embed(model, x), model.guide_stats)
-    h2_out = _sigmoid(zn @ model.a2 + model.b2)
-    return h2_out @ model.b_out
+    return elm_scores(ElmClassifier(model.a2, model.b2, model.b_out), zn)
 
 
 def predict(model: MhonModel, x) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Benchmark engine tests: one fit per (method, repeat), widths as leading columns."""
 
+import importlib
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -61,3 +65,18 @@ def test_each_method_fits_once_per_repeat(default_ds, monkeypatch):
     assert order == sorted(order)
     assert len(runs) == 2 * (4 * 4 * 2 + 2)
     assert len(rows) == 4 * 4 * 2 + 2
+
+
+def test_traced_functions_resolve():
+    # perfbench/layertrace.py wraps these (module, function) pairs by name; a
+    # rename in mvle would silently drop a layer from the traced benchmark.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = [
+        f"{module}.{name}" for module, name, _, _ in layertrace.TARGETS
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert layertrace.TARGETS
+    assert not missing

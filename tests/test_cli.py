@@ -173,6 +173,7 @@ BAD_VALUES = {
     "gen-noise-nan": (["gen", "--noise-sigma", "nan"], None, "noise_sigma"),
     "benchmark-elm-lambda-inf": (["benchmark", "--elm-lambda", "inf"], None, "elm_lambda"),
     "config-file-t-nan": (["embed"], '{"t": NaN}', "t"),
+    "config-file-t-beyond-double": (["embed"], '{"t": 1' + "0" * 400 + "}", "t"),
     "embed-k-text": (["embed", "--k", "abc"], None, "k"),
     "gen-nonlinearity": (["gen", "--nonlinearity", "foo"], None, "nonlinearity"),
     "train-mhon-mode": (["train-mhon", "--mhon-mode", "x"], None, "mhon_mode"),
@@ -194,6 +195,54 @@ def test_bad_value_is_one_config_error_line(tmp_path, capsys, case):
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ConfigError:")
     assert re.search(rf"\b{key}\b", err[0])
+
+
+def _empty_features_csv(data):
+    for name in ("view1_features.csv", "view1_labels.csv"):
+        (data / name).write_bytes(b"")
+    return ["embed"] + view_flags(data), "ValueError", "view1_features.csv is empty"
+
+
+def _non_utf8_features_csv(data):
+    (data / "view2_features.csv").write_bytes(b"0.5,\xff\n")
+    return ["embed"] + view_flags(data), "ValueError", "view2_features.csv is not UTF-8"
+
+
+def _non_utf8_config(data):
+    (data / "cfg.json").write_bytes(b'{"k": "\xff"}')
+    argv = ["embed", "--config", str(data / "cfg.json")] + view_flags(data)
+    return argv, "ConfigError", "cfg.json"
+
+
+def _empty_test_view(data):
+    # ceil(0.9 * 2) = 2: both samples of each class train, none is left to test
+    argv = ["benchmark", "--samples-per-class", "2", "--train-fraction", "0.9",
+            "--repeats", "1"]
+    return argv, "ValueError", "nonempty"
+
+
+def _h2_beyond_numpy_shapes(data):
+    # numpy rejects the shape before it allocates anything
+    return ["train-mhon", "--h2", str(10**30)] + view_flags(data), "ValueError", "dimension"
+
+
+# Inputs that are not config values, each failing with one error line. Each
+# function takes the data dir and returns (argv, error type, text the line holds).
+BAD_INPUTS = {f.__name__.strip("_"): f for f in (
+    _empty_features_csv, _non_utf8_features_csv, _non_utf8_config, _empty_test_view,
+    _h2_beyond_numpy_shapes,
+)}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_error_line(tmp_path, capsys, case):
+    argv, error_type, text = BAD_INPUTS[case](gen_small(tmp_path))
+    capsys.readouterr()
+    rc = main(argv + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {error_type}:")
+    assert text in err[0]
 
 
 class TestGen:

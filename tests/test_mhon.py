@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from mvle import mhon
-from mvle.dataset import SyntheticSpec, gen_synthetic
+from mvle.dataset import NormStats, SyntheticSpec, gen_synthetic
 from mvle.embedding import fit
 from mvle.errors import DimMismatchError, LabelOutOfRangeError, LengthMismatchError
-from mvle.mhon import MhonHyper, decision_values, embed, one_hot, predict, train
+from mvle.baselines import one_hot
+from mvle.mhon import MhonHyper, decision_values, embed, predict, train
 
 
 def small_problem(seed=0, n_per=10, classes=3, d=6, dim=2, spread=1.0):
@@ -78,6 +79,40 @@ class TestTrain:
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
         assert np.array_equal(m1.guide_stats.mean, m2.guide_stats.mean)
         assert np.array_equal(m1.guide_stats.std, m2.guide_stats.std)
+
+    def test_random_stream_order(self):
+        # a1, b1, a2, b2 are consecutive uniform(-1, 1) draws on one stream
+        x, targets, labels, c = small_problem(seed=2, d=6, dim=2)
+        model = train(x, targets, labels, c, hyper=MhonHyper(h1=7, h2=5, seed=13))
+        rng = np.random.default_rng(13)
+        for name, shape in (("a1", (6, 7)), ("b1", (7,)), ("a2", (2, 5)), ("b2", (5,))):
+            assert np.array_equal(getattr(model, name), rng.uniform(-1.0, 1.0, size=shape))
+
+    def test_train_view_equals_train_on_that_views_data(self):
+        ds = gen_synthetic(SyntheticSpec(samples_per_class=15))
+        emb, art = fit(ds, k=6, dim=3)
+        hyper = MhonHyper(seed=5)
+        for view in (0, 1, 2):
+            got = mhon.train_view(ds, view, emb.per_view, art.norm_stats, hyper)
+            x, labels = ds.view_data(view)
+            if view == 0:
+                y = np.hstack(emb.per_view)
+                stats = NormStats(
+                    mean=np.concatenate([s.mean for s in art.norm_stats]),
+                    std=np.concatenate([s.std for s in art.norm_stats]),
+                )
+            else:
+                y, stats = emb.per_view[view - 1], art.norm_stats[view - 1]
+            want = train(x, y, labels, ds.class_count, stats, hyper, view_id=view)
+            assert got.view_id == want.view_id == view
+            assert got.hyper == want.hyper
+            for name in ("a1", "b1", "g", "a2", "b2", "b_out"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            for name in ("norm_stats", "guide_stats"):
+                for part in ("mean", "std"):
+                    assert np.array_equal(
+                        getattr(getattr(got, name), part), getattr(getattr(want, name), part)
+                    )
 
     def test_different_seed_differs(self):
         x, targets, labels, c = small_problem(seed=2)
