@@ -334,7 +334,7 @@ def cmd_embed(cfg: dict) -> int:
     paths = embedding.export_embedding(emb, art, cfg["out_dir"], seed=cfg["seed"])
     if cfg.get("dump_graph"):
         graph_path = os.path.join(cfg["out_dir"], "graph_w.csv")
-        write_matrix_csv(art.graph.dense().w, graph_path)
+        write_matrix_csv(art.graph.dense(), graph_path)
         paths.append(graph_path)
     # Y^T D Y = I makes the double sum of W_ab ||y_a - y_b||^2 equal 2 * sum(lambda).
     xi = 2.0 * float(emb.eigenvalues.sum())

@@ -255,7 +255,8 @@ def split(
     Raises
     ------
     ClassTooSmallError
-        If some class has fewer than 2 samples in some view.
+        If some class has fewer than 2 samples in some view, or if the
+        fraction leaves no test sample in some view.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -276,6 +277,13 @@ def split(
             test_idx.append(shuffled[n_train:])
         tr = np.sort(np.concatenate(train_idx))
         te = np.sort(np.concatenate(test_idx))
+        if te.size == 0:
+            # Every class went to training whole, so these are the class sizes.
+            raise ClassTooSmallError(
+                f"train_fraction {train_fraction} leaves no test sample in view "
+                f"{view_id}: it trains on all of each class, of sizes "
+                f"{[part.size for part in train_idx]}"
+            )
         train_views.append(View(view.features[tr], view.labels[tr]))
         test_views.append(View(view.features[te], view.labels[te]))
     return (

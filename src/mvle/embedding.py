@@ -8,13 +8,13 @@ next ``dim`` eigenvectors, scaled so Y^T D Y = I, become the embedding. Row
 blocks of Y map back to the views in input order.
 
 The eigenproblem is solved exactly on the m×m quotient over the
-(BON vector, label) cells, and its eigenvectors are expanded to samples
+(BON vector, label) cells, whose eigenvectors are expanded to samples
 through the cell index. The quotient misses only the within-cell
-eigenvalues ``1 + w_qq / d_q`` (all >= 1), so it gives the dense answer
-unless the requested eigenvalues reach them: when m < dim + 1, or when the
-quotient eigenvalue at ``dim`` is within 1e-8 of the smallest within-cell
-eigenvalue of a cell with two or more samples, the fit solves the dense
-N×N problem from :meth:`mvle.graph.CellGraph.dense` instead.
+eigenpairs, which are known in closed form (see :mod:`mvle.graph`): each
+cell q of c_q samples adds c_q - 1 copies of ``1 + w_qq / d_q``, with the
+Helmert contrasts over the cell's samples, scaled by d_q^(-1/2), as
+eigenvectors. The fit merges both lists and keeps the lowest; no N×N
+problem is ever formed.
 """
 
 from __future__ import annotations
@@ -25,18 +25,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import bon as bon_mod
 from .dataset import MultiViewDataset, NormStats, write_matrix_csv, zscore_normalize
 from .errors import ClassTooSmallError, DimTooLargeError
-from .graph import CellGraph, WeightGraph, build_weight_graph
-from .linalg import _fix_signs, generalized_eig_diag
+from .graph import CellGraph, build_weight_graph
+from .linalg import EigenResult, _fix_signs, generalized_eig_diag
 
 ZERO_EIGENVALUE_TOL = 1e-8
-# How close the quotient eigenvalue at ``dim`` may come to the within-cell
-# band before the fit falls back to the dense problem.
-BAND_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -112,13 +108,7 @@ def fit(
 
     graph = build_weight_graph(bons, [v.labels for v in ds.views], heat_t)
     eig = generalized_eig_diag(*graph.quotient())
-    if graph.m < dim + 1 or eig.values[dim] >= graph.within_cell_band() - BAND_TOL:
-        dense = graph.dense()
-        eig = generalized_eig_diag(dense.laplacian, dense.degrees)
-        y = eig.vectors[:, 1 : dim + 1].copy()
-    else:
-        y = _fix_signs(eig.vectors[graph.cell_index, 1 : dim + 1])
-
+    # Within-cell eigenvalues are at least 1, so the count covers the spectrum.
     near_zero = int(np.count_nonzero(eig.values < ZERO_EIGENVALUE_TOL))
     if near_zero > 1:
         warnings.warn(
@@ -128,7 +118,7 @@ def fit(
             stacklevel=2,
         )
 
-    values = eig.values[1 : dim + 1].copy()
+    values, y = _lowest_pairs(graph, eig, dim)
     per_view = tuple(y[sl].copy() for sl in graph.block_slices)
     embedding = Embedding(y=y, per_view=per_view, eigenvalues=values, dim=dim)
     artifacts = FitArtifacts(
@@ -141,20 +131,33 @@ def fit(
     return embedding, artifacts
 
 
-def objective(y, graph: WeightGraph) -> float:
-    """Graph smoothness cost: sum over all ordered pairs of ``||y_a - y_b||^2 W_ab``.
+def _lowest_pairs(
+    graph: CellGraph, eig: EigenResult, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs 1..dim of the full problem from the quotient pairs ``eig``.
 
-    Computed as the literal double sum over the dense graph (see
-    :meth:`mvle.graph.CellGraph.dense`), not through the Laplacian, so it
-    can serve as an independent check of ``2 * trace(Y^T L Y)``.
+    The quotient values come first and the within-cell values follow, cell
+    by cell; a stable sort keeps that order on exact ties. Only the kept
+    columns are built, and the sign convention is applied to the N rows.
     """
-    ym = np.asarray(y, dtype=np.float64)
-    if ym.ndim == 1:
-        ym = ym[:, None]
-    if ym.shape[0] != graph.n:
-        raise ValueError(f"y has {ym.shape[0]} rows, graph has {graph.n} nodes")
-    sq = cdist(ym, ym, "sqeuclidean")
-    return float((sq * graph.w).sum())
+    pair_cell = np.repeat(np.arange(graph.m), graph.sizes - 1)
+    band = 1.0 + np.diagonal(graph.wq) / graph.cell_degrees
+    spectrum = np.concatenate([eig.values, band[pair_cell]])
+    keep = np.argsort(spectrum, kind="stable")[1 : dim + 1]
+    from_quotient = keep < graph.m
+    y = np.zeros((graph.n, dim))
+    y[:, from_quotient] = eig.vectors[:, keep[from_quotient]][graph.cell_index]
+    # Pair p of cell q is its j-th Helmert contrast: 1 on the cell's first j
+    # samples, -j on sample j + 1, over sqrt(j (j + 1) d_q).
+    first_pair = np.cumsum(graph.sizes - 1) - (graph.sizes - 1)
+    for col in np.flatnonzero(~from_quotient):
+        q = pair_cell[keep[col] - graph.m]
+        j = keep[col] - graph.m - first_pair[q] + 1
+        members = np.flatnonzero(graph.cell_index == q)
+        y[members[:j], col] = 1.0
+        y[members[j], col] = -float(j)
+        y[:, col] /= np.sqrt(j * (j + 1) * graph.cell_degrees[q])
+    return spectrum[keep], _fix_signs(y)
 
 
 def export_embedding(

@@ -19,9 +19,11 @@ spectrum of ``L y = λ D y`` is then the union of
   :meth:`CellGraph.quotient`, whose eigenvectors are constant on cells,
   ``y = z[cell_index]``, with ``Y^T D Y = Z^T Dq Z``;
 - the within-cell eigenvalues ``1 + w_qq / d_q``, c_q - 1 of them for each
-  cell q, whose eigenvectors live on one cell and sum to zero there.
+  cell q, whose eigenvectors live on one cell and sum to zero there. D is
+  d_q on the whole cell, so any orthonormal zero-sum basis of the cell,
+  scaled by d_q^(-1/2), is a D-orthonormal eigenbasis.
 
-Only :meth:`CellGraph.dense` builds the N×N :class:`WeightGraph`.
+Only :meth:`CellGraph.dense` builds an N×N array, the weight matrix.
 """
 
 from __future__ import annotations
@@ -34,21 +36,6 @@ from scipy.spatial.distance import cdist
 
 from .bon import BonMatrix
 from .errors import ClassCountMismatchError, IsolatedSampleError, LengthMismatchError
-
-
-@dataclass(frozen=True)
-class WeightGraph:
-    """Dense joint graph with per-view block offsets and derived operators."""
-
-    w: np.ndarray
-    block_offsets: tuple[int, ...]
-    degrees: np.ndarray
-    laplacian: np.ndarray
-    heat_t: float
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
 
 
 @dataclass(frozen=True)
@@ -67,7 +54,6 @@ class CellGraph:
     wq: np.ndarray
     cell_degrees: np.ndarray
     block_offsets: tuple[int, ...]
-    heat_t: float
 
     @property
     def n(self) -> int:
@@ -95,26 +81,11 @@ class CellGraph:
         np.fill_diagonal(lq, -lq.sum(axis=1))
         return lq, self.sizes * self.cell_degrees
 
-    def within_cell_band(self) -> float:
-        """Smallest within-cell eigenvalue ``1 + w_qq / d_q`` over cells of
-        two or more samples; infinity when every cell is a single sample."""
-        shared = self.sizes > 1
-        if not shared.any():
-            return np.inf
-        return float(np.min(1.0 + np.diagonal(self.wq)[shared] / self.cell_degrees[shared]))
-
-    def dense(self) -> WeightGraph:
-        """The N×N graph, entry for entry the weights the cells stand for."""
+    def dense(self) -> np.ndarray:
+        """The N×N weight matrix, entry for entry the weights the cells stand for."""
         w = self.wq[np.ix_(self.cell_index, self.cell_index)]
         np.fill_diagonal(w, 0.0)
-        degrees, laplacian = degree_and_laplacian(w)
-        return WeightGraph(
-            w=w,
-            block_offsets=self.block_offsets,
-            degrees=degrees,
-            laplacian=laplacian,
-            heat_t=self.heat_t,
-        )
+        return w
 
 
 def _require_edges(degrees: np.ndarray) -> None:
@@ -124,24 +95,6 @@ def _require_edges(degrees: np.ndarray) -> None:
             f"sample {isolated[0]} has zero total edge weight; "
             "try a larger neighbor count K so bag-of-neighbors label sets overlap"
         )
-
-
-def degree_and_laplacian(w) -> tuple[np.ndarray, np.ndarray]:
-    """Row-sum degrees and the combinatorial Laplacian ``L = diag(d) - W``.
-
-    Raises
-    ------
-    IsolatedSampleError
-        If some row of ``W`` sums to zero; the usual fix is a larger
-        neighbor count so label sets overlap more.
-    """
-    m = np.asarray(w, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"W must be square, got shape {m.shape}")
-    degrees = m.sum(axis=1)
-    _require_edges(degrees)
-    laplacian = np.diag(degrees) - m
-    return degrees, laplacian
 
 
 def build_weight_graph(
@@ -220,5 +173,4 @@ def build_weight_graph(
         wq=wq,
         cell_degrees=cell_degrees,
         block_offsets=offsets,
-        heat_t=float(t),
     )

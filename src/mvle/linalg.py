@@ -1,11 +1,12 @@
-"""Dense symmetric eigensolvers and ridge regression.
+"""Dense symmetric eigensolver and ridge regression.
 
 All routines work on float64 ``numpy`` arrays and are deterministic:
 eigenvalues come back in ascending order and every eigenvector has its
 largest-magnitude entry forced positive. Backed by LAPACK's symmetric
-drivers via ``numpy.linalg``; the generalized problem with a diagonal
+driver via ``numpy.linalg``; the generalized problem with a diagonal
 metric is reduced to a standard symmetric one by whitening, never by
-forming a nonsymmetric product.
+forming a nonsymmetric product. A unit diagonal gives the standard
+symmetric eigenproblem.
 
 Tolerances are fixed module-wide: inputs are validated at 1e-10
 (relative), results are certified at 1e-8.
@@ -60,67 +61,27 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def sym_eig(a) -> EigenResult:
-    """Full eigendecomposition of a symmetric matrix.
+def generalized_eig_diag(l, d) -> EigenResult:
+    """Solve ``L y = lambda D y`` for symmetric ``L`` and positive diagonal ``D``.
 
-    Parameters
-    ----------
-    a : array_like, shape (n, n)
-        Symmetric within 1e-10 relative to its own infinity norm. The
-        matrix is averaged with its transpose before decomposition so
-        roundoff-level asymmetry cannot leak into the result.
-
-    Returns
-    -------
-    EigenResult
-        Ascending eigenvalues and orthonormal eigenvectors.
+    ``d`` may be the diagonal as a 1-D vector or as a full diagonal
+    matrix. The problem is whitened to ``D^{-1/2} L D^{-1/2}``, which must
+    be symmetric within 1e-10 relative to its own largest entry; it is
+    averaged with its transpose so roundoff-level asymmetry cannot leak into
+    the result. The eigenvectors are mapped back so that ``Y^T D Y = I``.
 
     Raises
     ------
     NonSymmetricError
         If the symmetry check fails.
+    SingularDegreeError
+        If any diagonal entry of ``D`` is zero or negative.
     NoConvergenceError
         If the underlying iteration does not converge.
     """
-    values, vectors = _eigh(a)
-    return EigenResult(values=values, vectors=_fix_signs(vectors))
-
-
-def _eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    # sym_eig without the sign convention, for callers that apply it later.
-    m = as_matrix(a, "a")
-    n, k = m.shape
-    if n != k:
-        raise ValueError(f"a must be square, got shape {m.shape}")
-    scale = max(float(np.abs(m).max()), 1e-300)
-    asym = float(np.abs(m - m.T).max())
-    if asym > INPUT_TOL * scale:
-        raise NonSymmetricError(
-            f"matrix is not symmetric: max |A - A^T| = {asym:.3e} "
-            f"exceeds {INPUT_TOL:.0e} * {scale:.3e}"
-        )
-    sym = 0.5 * (m + m.T)
-    try:
-        values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    return values, vectors
-
-
-def generalized_eig_diag(l, d) -> EigenResult:
-    """Solve ``L y = lambda D y`` for symmetric ``L`` and positive diagonal ``D``.
-
-    ``d`` may be the diagonal as a 1-D vector or as a full diagonal
-    matrix. The problem is whitened to ``D^{-1/2} L D^{-1/2}``, explicitly
-    re-symmetrized, solved as in :func:`sym_eig`, and the eigenvectors are
-    mapped back so that ``Y^T D Y = I``.
-
-    Raises
-    ------
-    SingularDegreeError
-        If any diagonal entry of ``D`` is zero or negative.
-    """
     lm = as_matrix(l, "l")
+    if lm.shape[0] != lm.shape[1]:
+        raise ValueError(f"l must be square, got shape {lm.shape}")
     dv = np.asarray(d, dtype=np.float64)
     if dv.ndim == 2:
         dv = np.diagonal(dv).copy()
@@ -136,8 +97,18 @@ def generalized_eig_diag(l, d) -> EigenResult:
             f"diagonal entry {bad[0]} is {dv[bad[0]]:.6g}; all degrees must be positive"
         )
     inv_sqrt = 1.0 / np.sqrt(dv)
-    white = inv_sqrt[:, None] * lm * inv_sqrt[None, :]
-    values, vectors = _eigh(white)
+    white = as_matrix(inv_sqrt[:, None] * lm * inv_sqrt[None, :], "whitened l")
+    scale = max(float(np.abs(white).max()), 1e-300)
+    asym = float(np.abs(white - white.T).max())
+    if asym > INPUT_TOL * scale:
+        raise NonSymmetricError(
+            f"matrix is not symmetric: max |A - A^T| = {asym:.3e} "
+            f"exceeds {INPUT_TOL:.0e} * {scale:.3e}"
+        )
+    try:
+        values, vectors = np.linalg.eigh(0.5 * (white + white.T))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
     # The sign convention is applied once, to the mapped-back vectors.
     return EigenResult(values=values, vectors=_fix_signs(inv_sqrt[:, None] * vectors))
 

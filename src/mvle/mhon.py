@@ -84,10 +84,6 @@ class MhonModel:
     def input_dim(self) -> int:
         return self.a1.shape[0]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.g.shape[1]
-
 
 def train(
     x,

@@ -20,11 +20,12 @@ from mvle import mhon
 from mvle.bon import bon_vectors, knn
 from mvle.cli import _synthetic_from_cfg, merge_config, run_benchmark
 from mvle.dataset import MultiViewDataset, View
-from mvle.embedding import fit, objective
+from mvle.embedding import fit
 from mvle.errors import DimTooLargeError, IsolatedSampleError
-from mvle.graph import build_weight_graph, degree_and_laplacian
+from mvle.graph import build_weight_graph
 from mvle.linalg import generalized_eig_diag
 from mvle.metrics import s_b, s_w
+from oracle import degree_and_laplacian, dense_graph, objective
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 BENCH_FIXTURE = FIXTURE_DIR / "benchmark_pinned.json"
@@ -138,8 +139,8 @@ def test_acceptance_1_eigensolver_matches_dense_oracle(capsys):
             n1 = int(rng.integers(c + 1, 11))
             n2 = int(rng.integers(c + 1, 21 - n1))
             bons, labels = random_bon_instance(rng, [n1, n2], c, 2)
-            g = build_weight_graph(bons, labels, t=float(c)).dense()
-            degrees, lap = degree_and_laplacian(g.w)
+            w = build_weight_graph(bons, labels, t=float(c)).dense()
+            degrees, lap = degree_and_laplacian(w)
             res = generalized_eig_diag(lap, degrees)
             brute = np.sort(np.linalg.eig(np.diag(1.0 / degrees) @ lap)[0].real)
             assert np.max(np.abs(res.values - brute)) < 1e-8
@@ -162,7 +163,7 @@ def test_acceptance_2_fit_is_variationally_optimal(capsys):
                 rng, per_class, 3, (4, 5), k=4, dim=dim
             )
             assert ds.n_total <= 60
-            graph = art.graph.dense()
+            graph = dense_graph(art.graph)
             xi_fit = objective(emb.y, graph)
             assert xi_fit == pytest.approx(
                 2.0 * float(emb.eigenvalues.sum()), abs=1e-8
@@ -188,11 +189,11 @@ def test_acceptance_3_neighbor_count_and_graph_invariants(capsys):
                 failures += int(
                     not np.all(bon.counts.sum(axis=1) == bon.k)
                 )
-            g = build_weight_graph(bons, labels, t=float(c)).dense()
+            w = build_weight_graph(bons, labels, t=float(c)).dense()
             checks += 3
-            failures += int(not np.array_equal(g.w, g.w.T))
-            failures += int(not (np.all(g.w >= 0.0) and np.all(g.w <= 1.0)))
-            failures += int(not np.all(np.diag(g.w) == 0.0))
+            failures += int(not np.array_equal(w, w.T))
+            failures += int(not (np.all(w >= 0.0) and np.all(w <= 1.0)))
+            failures += int(not np.all(np.diag(w) == 0.0))
             # connection rule, entrywise, from the raw label sets
             lab_all = np.concatenate(labels)
             sets = []
@@ -205,7 +206,7 @@ def test_acceptance_3_neighbor_count_and_graph_invariants(capsys):
                         continue
                     checks += 1
                     connected = lab_all[b] in sets[a] and lab_all[a] in sets[b]
-                    ok = (g.w[a, b] > 0.0) == connected
+                    ok = (w[a, b] > 0.0) == connected
                     failures += int(not ok)
 
         for _ in range(25):
@@ -224,9 +225,9 @@ def test_acceptance_3_neighbor_count_and_graph_invariants(capsys):
         bon1 = bon_vectors(knn(x1, 3), lab1, 2)
         bon2 = bon_vectors(knn(x2, 3), lab2, 2)
         run_instance([bon1, bon2], [lab1, lab2], 2)
-        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=2.0).dense()
+        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=2.0).dense()
         class2_rows = np.flatnonzero(lab1 == 2)
-        assert np.all(g.w[np.ix_(class2_rows, np.arange(10, 18))] == 0.0)
+        assert np.all(w[np.ix_(class2_rows, np.arange(10, 18))] == 0.0)
 
         # degenerate layout: identical points, one class per view
         xs = np.zeros((6, 2))

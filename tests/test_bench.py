@@ -18,6 +18,7 @@ from mvle.dataset import (
     split,
     zscore_normalize,
 )
+from oracle import repeated_points
 
 
 @pytest.fixture(scope="module")
@@ -25,18 +26,26 @@ def default_ds():
     return gen_synthetic(SyntheticSpec())
 
 
-@pytest.mark.parametrize("split_seed", [0, 7, 23])
-def test_widths_are_leading_columns_of_the_widest_fit(default_ds, split_seed):
-    # At these split seeds no dense fallback happens at any width.
-    train, _ = split(default_ds, 2.0 / 3.0, split_seed)
+@pytest.mark.parametrize("case", [0, 7, 23, "repeated-points"])
+def test_widths_are_leading_columns_of_the_widest_fit(default_ds, case):
+    # Split seeds of the default data, and a fit whose widths from 4 up take
+    # within-cell eigenpairs (the linear projectors need wider views there).
+    if case == "repeated-points":
+        train, k, widths, linear = repeated_points(), 4, (2, 4, 8, 16, 35), ()
+    else:
+        train, k, widths = split(default_ds, 2.0 / 3.0, case)[0], 10, (2, 4, 8, 16)
+        linear = (mvda_fit, cca_lda_fit, pls_fit)
     normed = MultiViewDataset(
         tuple(View(zscore_normalize(v.features)[0], v.labels) for v in train.views),
         train.class_count,
     )
-    wide, _ = embedding.fit(train, 10, 16)
-    projectors = {f: f(normed, 16) for f in (mvda_fit, cca_lda_fit, pls_fit)}
-    for dim in (2, 4, 8):
-        narrow, _ = embedding.fit(train, 10, dim)
+    widest = widths[-1]
+    wide, art = embedding.fit(train, k, widest)
+    if case == "repeated-points":
+        assert art.graph.m <= 4  # at most 3 nontrivial quotient pairs
+    projectors = {f: f(normed, widest) for f in linear}
+    for dim in widths[:-1]:
+        narrow, _ = embedding.fit(train, k, dim)
         for y_wide, y in zip(wide.per_view, narrow.per_view):
             assert np.array_equal(y_wide[:, :dim], y)
         for fit_linear, proj in projectors.items():

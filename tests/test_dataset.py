@@ -204,6 +204,16 @@ class TestSplit:
         with pytest.raises(ClassTooSmallError):
             split(ds, 0.5, seed=0)
 
+    def test_no_test_sample_left_in_a_view(self):
+        # ceil(0.7 * 2) = 2 and ceil(0.7 * 3) = 3: every class trains whole.
+        ds = make_dataset(np.random.default_rng(58), [2, 3], 2)
+        with pytest.raises(ClassTooSmallError, match=r"0\.7 .* view 0: .* sizes \[2, 3\]"):
+            split(ds, 0.7, seed=0)
+        # ceil(0.7 * 4) = 3: class 1 has no test sample, but its view has one.
+        ds = make_dataset(np.random.default_rng(58), [2, 4], 2)
+        _, test = split(ds, 0.7, seed=0)
+        assert [view.labels.tolist() for view in test.views] == [[2], [2]]
+
     def test_fraction_bounds(self):
         ds = make_dataset(np.random.default_rng(57), [4, 4], 2)
         with pytest.raises(ValueError):

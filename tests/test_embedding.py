@@ -8,10 +8,11 @@ import pytest
 
 from mvle.bon import bon_vectors, knn
 from mvle.dataset import MultiViewDataset, View, zscore_normalize
-from mvle.embedding import Embedding, export_embedding, fit, objective
+from mvle.embedding import Embedding, export_embedding, fit
 from mvle.errors import ClassTooSmallError, DimTooLargeError
-from mvle.graph import build_weight_graph, degree_and_laplacian
+from mvle.graph import build_weight_graph
 from mvle.linalg import generalized_eig_diag
+from oracle import WeightGraph, degree_and_laplacian, dense_graph, objective
 
 
 def clustered_dataset(rng, per_class=8, classes=3, dims=(4, 6), spread=1.4):
@@ -37,7 +38,7 @@ class TestFit:
             views=(View(feats, labels), View(feats.copy(), labels)), class_count=1
         )
         emb, art = fit(ds, k=2, dim=1)
-        graph = art.graph.dense()
+        graph = dense_graph(art.graph)
         assert np.all(graph.w[~np.eye(6, dtype=bool)] == 1.0)
         y = emb.y
         assert abs(float(y[:, 0] @ (graph.degrees * y[:, 0])) - 1.0) < 1e-8
@@ -52,7 +53,7 @@ class TestFit:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 emb, art = fit(ds, k=4, dim=3)
-            graph = art.graph.dense()
+            graph = dense_graph(art.graph)
             xi = objective(emb.y, graph)
             trace_route = 2.0 * np.trace(emb.y.T @ graph.laplacian @ emb.y)
             assert xi == pytest.approx(trace_route, abs=1e-8)
@@ -62,7 +63,7 @@ class TestFit:
         rng = np.random.default_rng(92)
         ds = clustered_dataset(rng, per_class=7, classes=3)
         emb, art = fit(ds, k=5, dim=4)
-        gram = emb.y.T @ np.diag(art.graph.dense().degrees) @ emb.y
+        gram = emb.y.T @ np.diag(dense_graph(art.graph).degrees) @ emb.y
         assert np.max(np.abs(gram - np.eye(4))) < 1e-8
         assert np.all(np.diff(emb.eigenvalues) >= -1e-12)
         assert np.all(emb.eigenvalues >= -1e-10)
@@ -98,8 +99,8 @@ class TestFit:
         )
         emb2, art2 = fit(permuted, k=4, dim=3)
         assert np.allclose(emb2.eigenvalues, emb.eigenvalues, atol=1e-8)
-        assert objective(emb2.y, art2.graph.dense()) == pytest.approx(
-            objective(emb.y, art.graph.dense()), abs=1e-8
+        assert objective(emb2.y, dense_graph(art2.graph)) == pytest.approx(
+            objective(emb.y, dense_graph(art.graph)), abs=1e-8
         )
         # view-1 rows permute on the embedding; signs are fixed per vector
         assert np.allclose(
@@ -116,8 +117,8 @@ class TestFit:
 
         normed, _ = zscore_normalize(feats)
         bon = bon_vectors(knn(normed, 5), labels, 3)
-        g = build_weight_graph([bon], [labels], t=3.0).dense()
-        degrees, lap = degree_and_laplacian(g.w)
+        w = build_weight_graph([bon], [labels], t=3.0).dense()
+        degrees, lap = degree_and_laplacian(w)
         res = generalized_eig_diag(lap, degrees)
         assert np.allclose(emb.eigenvalues, res.values[1:3], atol=1e-10)
         assert np.allclose(np.abs(emb.y), np.abs(res.vectors[:, 1:3]), atol=1e-8)
@@ -153,16 +154,12 @@ class TestObjective:
         ds = clustered_dataset(rng, per_class=5, classes=2)
         _, art = fit(ds, k=3, dim=1)
         y = np.ones((art.graph.n, 2))
-        assert objective(y, art.graph.dense()) == pytest.approx(0.0, abs=1e-12)
+        assert objective(y, dense_graph(art.graph)) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_hand_sum(self):
-        from mvle.graph import WeightGraph
-
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         degrees, lap = degree_and_laplacian(w)
-        g = WeightGraph(
-            w=w, block_offsets=(0,), degrees=degrees, laplacian=lap, heat_t=1.0
-        )
+        g = WeightGraph(w=w, block_offsets=(0,), degrees=degrees, laplacian=lap)
         y = np.array([[0.0], [1.0]])
         assert objective(y, g) == pytest.approx(2.0, abs=1e-12)
 
@@ -170,7 +167,7 @@ class TestObjective:
         rng = np.random.default_rng(102)
         ds = clustered_dataset(rng, per_class=6, classes=3)
         _, art = fit(ds, k=4, dim=2)
-        graph = art.graph.dense()
+        graph = dense_graph(art.graph)
         for _ in range(10):
             y = rng.normal(size=(graph.n, 3))
             direct = objective(y, graph)

@@ -5,7 +5,8 @@ import pytest
 
 from mvle.bon import BonMatrix, bon_vectors, knn
 from mvle.errors import ClassCountMismatchError, IsolatedSampleError
-from mvle.graph import build_weight_graph, degree_and_laplacian
+from mvle.graph import build_weight_graph
+from oracle import degree_and_laplacian, dense_graph
 
 
 def random_instance(rng, sizes, c, k):
@@ -39,8 +40,8 @@ class TestBuildWeightGraph:
         x = np.array([[0.0], [1.0]])
         lab = np.array([1, 1])
         bon = bon_vectors(knn(x, 1), lab, 2)
-        g = build_weight_graph([bon, bon], [lab, lab], t=2.0).dense()
-        assert g.w[0, 2] == pytest.approx(1.0, abs=1e-15)
+        w = build_weight_graph([bon, bon], [lab, lab], t=2.0).dense()
+        assert w[0, 2] == pytest.approx(1.0, abs=1e-15)
 
     def test_stated_formula_value(self):
         # BON difference [1,-1,0,0] at t = c = 4 gives exp(-2/4).
@@ -48,30 +49,30 @@ class TestBuildWeightGraph:
         bon2 = BonMatrix(np.array([[1, 2, 0, 0], [2, 1, 0, 0]]), k=3)
         lab1 = np.array([1, 2])
         lab2 = np.array([2, 1])
-        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=4.0).dense()
+        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=4.0).dense()
         # sample 0 of view 1 vs sample 0 of view 2: counts differ by [1,-1,0,0]
-        assert g.w[0, 2] == pytest.approx(np.exp(-2.0 / 4.0), abs=1e-15)
-        assert g.w[0, 2] == pytest.approx(0.60653, abs=5e-6)
+        assert w[0, 2] == pytest.approx(np.exp(-2.0 / 4.0), abs=1e-15)
+        assert w[0, 2] == pytest.approx(0.60653, abs=5e-6)
 
     def test_disconnection_rule_zero(self):
         # label_a not in label set of b forces weight 0 even at distance 0.
         x = np.array([[0.0], [0.1], [10.0], [10.1]])
         lab = np.array([1, 1, 2, 2])
         bon = bon_vectors(knn(x, 1), lab, 2)
-        g = build_weight_graph([bon], [lab], t=2.0).dense()
-        assert g.w[0, 2] == 0.0
-        assert g.w[2, 0] == 0.0
-        assert g.w[0, 1] == pytest.approx(1.0)
+        w = build_weight_graph([bon], [lab], t=2.0).dense()
+        assert w[0, 2] == 0.0
+        assert w[2, 0] == 0.0
+        assert w[0, 1] == pytest.approx(1.0)
 
     def test_exact_symmetry_and_range(self):
         rng = np.random.default_rng(81)
         for _ in range(10):
             bons, labels = random_connected_instance(rng, [12, 9], 3, 4)
-            g = build_weight_graph(bons, labels, t=3.0).dense()
-            assert np.array_equal(g.w, g.w.T)
-            assert np.all(g.w >= 0.0)
-            assert np.all(g.w <= 1.0)
-            assert np.all(np.diag(g.w) == 0.0)
+            w = build_weight_graph(bons, labels, t=3.0).dense()
+            assert np.array_equal(w, w.T)
+            assert np.all(w >= 0.0)
+            assert np.all(w <= 1.0)
+            assert np.all(np.diag(w) == 0.0)
 
     def test_block_offsets(self):
         rng = np.random.default_rng(82)
@@ -85,7 +86,7 @@ class TestBuildWeightGraph:
         rng = np.random.default_rng(83)
         bons, labels = random_instance(rng, [10, 8], 4, 3)
         t = 4.0
-        g = build_weight_graph(bons, labels, t=t).dense()
+        w = build_weight_graph(bons, labels, t=t).dense()
         counts = np.vstack([b.counts for b in bons])
         stacked = np.concatenate(labels)
         sets = [bons[0].label_set(a) for a in range(10)]
@@ -98,9 +99,9 @@ class TestBuildWeightGraph:
                 if connected:
                     diff = counts[a].astype(float) - counts[b]
                     expect = np.exp(-float(diff @ diff) / t)
-                    assert g.w[a, b] == pytest.approx(expect, abs=1e-14)
+                    assert w[a, b] == pytest.approx(expect, abs=1e-14)
                 else:
-                    assert g.w[a, b] == 0.0
+                    assert w[a, b] == 0.0
 
     def test_adversarial_label_layouts(self):
         # Single-label view against a view missing that label entirely:
@@ -111,9 +112,9 @@ class TestBuildWeightGraph:
         x2 = np.array([[0.0], [0.2], [0.4], [0.6]])
         lab2 = np.array([2, 2, 3, 3])
         bon2 = bon_vectors(knn(x2, 2), lab2, 3)
-        g = build_weight_graph([bon1, bon2], [lab1, lab2], t=3.0).dense()
-        assert np.all(g.w[:3, 3:] == 0.0)
-        assert np.all(g.w[3:, :3] == 0.0)
+        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=3.0).dense()
+        assert np.all(w[:3, 3:] == 0.0)
+        assert np.all(w[3:, :3] == 0.0)
 
     def test_single_view_all_classes_pure_heat_kernel(self):
         # When every sample's neighborhood contains every class, the rule
@@ -121,14 +122,14 @@ class TestBuildWeightGraph:
         x = np.array([[0.0], [0.01], [0.02], [0.03]])
         lab = np.array([1, 2, 1, 2])
         bon = bon_vectors(knn(x, 3), lab, 2)
-        g = build_weight_graph([bon], [lab], t=2.0).dense()
+        w = build_weight_graph([bon], [lab], t=2.0).dense()
         counts = bon.counts.astype(float)
         for a in range(4):
             for b in range(4):
                 if a == b:
                     continue
                 diff = counts[a] - counts[b]
-                assert g.w[a, b] == pytest.approx(np.exp(-float(diff @ diff) / 2.0))
+                assert w[a, b] == pytest.approx(np.exp(-float(diff @ diff) / 2.0))
 
     def test_class_count_mismatch(self):
         x = np.array([[0.0], [1.0], [2.0]])
@@ -194,7 +195,7 @@ class TestGraphInvariantsEndToEnd:
     def test_degrees_match_w_and_l(self):
         rng = np.random.default_rng(87)
         bons, labels = random_instance(rng, [14, 10], 3, 5)
-        g = build_weight_graph(bons, labels, t=3.0).dense()
+        g = dense_graph(build_weight_graph(bons, labels, t=3.0))
         assert np.allclose(g.degrees, g.w.sum(axis=0), atol=1e-12)
         assert np.allclose(g.laplacian, np.diag(g.degrees) - g.w, atol=1e-15)
         assert np.max(np.abs(g.laplacian.sum(axis=1))) < 1e-12

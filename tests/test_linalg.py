@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvle.errors import NonSymmetricError, SingularDegreeError, SingularMatrixError
-from mvle.linalg import generalized_eig_diag, ridge_solve, sym_eig
+from mvle.linalg import generalized_eig_diag, ridge_solve
+
+
+def unit_metric_eig(a):
+    """The standard symmetric eigenproblem: ``generalized_eig_diag`` with D = I."""
+    a = np.asarray(a)
+    return generalized_eig_diag(a, np.ones(a.shape[0]))
 
 
 def random_symmetric(rng, n):
@@ -50,11 +56,11 @@ def assert_stationary(h, t, lam, b):
 
 class TestSymEig:
     def test_identity_eigenvalues(self):
-        res = sym_eig(np.eye(3))
+        res = unit_metric_eig(np.eye(3))
         assert np.allclose(res.values, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_two_by_two_closed_form(self):
-        res = sym_eig(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        res = unit_metric_eig(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert np.allclose(res.values, [0.0, 2.0], atol=1e-12)
         v0 = res.vectors[:, 0]
         v1 = res.vectors[:, 1]
@@ -66,7 +72,7 @@ class TestSymEig:
         rng = np.random.default_rng(11)
         for _ in range(20):
             a = random_symmetric(rng, 10)
-            res = sym_eig(a)
+            res = unit_metric_eig(a)
             rebuilt = res.vectors @ np.diag(res.values) @ res.vectors.T
             assert np.max(np.abs(rebuilt - a)) < 1e-8
 
@@ -74,7 +80,7 @@ class TestSymEig:
         rng = np.random.default_rng(12)
         for _ in range(10):
             a = random_symmetric(rng, 8)
-            res = sym_eig(a)
+            res = unit_metric_eig(a)
             scale = np.max(np.abs(a)) + 1.0
             for j in range(8):
                 resid = a @ res.vectors[:, j] - res.values[j] * res.vectors[:, j]
@@ -85,36 +91,36 @@ class TestSymEig:
     def test_values_ascending(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            res = sym_eig(random_symmetric(rng, 9))
+            res = unit_metric_eig(random_symmetric(rng, 9))
             assert np.all(np.diff(res.values) >= -1e-12)
 
     def test_trace_identity(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
             a = random_symmetric(rng, 7)
-            res = sym_eig(a)
+            res = unit_metric_eig(a)
             scale = max(abs(np.trace(a)), 1.0)
             assert abs(res.values.sum() - np.trace(a)) < 1e-8 * scale
 
     def test_one_ulp_asymmetry_tolerated(self):
         a = random_symmetric(np.random.default_rng(15), 6)
         a[0, 1] += 1e-13
-        res = sym_eig(a)
+        res = unit_metric_eig(a)
         assert res.values.shape == (6,)
 
     def test_nonsymmetric_rejected(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(NonSymmetricError):
-            sym_eig(a)
+            unit_metric_eig(a)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            sym_eig(np.zeros((2, 3)))
+            unit_metric_eig(np.zeros((2, 3)))
 
     def test_nonfinite_rejected(self):
         a = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError):
-            sym_eig(a)
+            unit_metric_eig(a)
 
 
 class TestGeneralizedEigDiag:
