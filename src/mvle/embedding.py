@@ -14,7 +14,10 @@ eigenpairs, which are known in closed form (see :mod:`mvle.graph`): each
 cell q of c_q samples adds c_q - 1 copies of ``1 + w_qq / d_q``, with the
 Helmert contrasts over the cell's samples, scaled by d_q^(-1/2), as
 eigenvectors. The fit merges both lists and keeps the lowest; no N×N
-problem is ever formed.
+problem is ever formed. It asks the quotient solve for its lowest dim + 2
+pairs, which cover the kept pairs and the gap λ_dim+1 - λ_dim after them;
+on a large quotient they come from certified Lanczos (see
+:mod:`mvle.linalg`), and the fit records which solver ran.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ class FitArtifacts:
     norm_stats: tuple[NormStats, ...]
     k: int
     t: float
+    eigengap: float | None
+    eig_solver: str
 
 
 def fit(
@@ -107,8 +112,10 @@ def fit(
         bons.append(bon_mod.bon_vectors(table, view.labels, ds.class_count))
 
     graph = build_weight_graph(bons, [v.labels for v in ds.views], heat_t)
-    eig = generalized_eig_diag(*graph.quotient())
-    # Within-cell eigenvalues are at least 1, so the count covers the spectrum.
+    # dim + 2 quotient pairs cover the kept pairs and the one after the cut.
+    eig = generalized_eig_diag(*graph.quotient(), count=min(dim + 2, graph.m))
+    # Within-cell eigenvalues are at least 1, and any quotient eigenvalue the
+    # solve left out is at least 2e-8, so the count covers the spectrum.
     near_zero = int(np.count_nonzero(eig.values < ZERO_EIGENVALUE_TOL))
     if near_zero > 1:
         warnings.warn(
@@ -118,7 +125,7 @@ def fit(
             stacklevel=2,
         )
 
-    values, y = _lowest_pairs(graph, eig, dim)
+    values, eigengap, y = _lowest_pairs(graph, eig, dim)
     per_view = tuple(y[sl].copy() for sl in graph.block_slices)
     embedding = Embedding(y=y, per_view=per_view, eigenvalues=values, dim=dim)
     artifacts = FitArtifacts(
@@ -127,37 +134,47 @@ def fit(
         norm_stats=tuple(stats),
         k=k,
         t=heat_t,
+        eigengap=eigengap,
+        eig_solver=eig.solver,
     )
     return embedding, artifacts
 
 
 def _lowest_pairs(
     graph: CellGraph, eig: EigenResult, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs 1..dim of the full problem from the quotient pairs ``eig``.
+) -> tuple[np.ndarray, float | None, np.ndarray]:
+    """Eigenpairs 1..dim of the full problem from the quotient pairs ``eig``,
+    with the gap λ_dim+1 - λ_dim (``None`` when dim = N - 1).
 
-    The quotient values come first and the within-cell values follow, cell
-    by cell; a stable sort keeps that order on exact ties. Only the kept
-    columns are built, and the sign convention is applied to the N rows.
+    ``eig`` holds the lowest quotient pairs, at least dim + 2 of them or
+    all m. The quotient values come first and the within-cell values
+    follow, cell by cell; a stable sort keeps that order on exact ties. Only
+    the kept columns are built, and the sign convention is applied to the N
+    rows.
     """
+    solved = eig.values.shape[0]
     pair_cell = np.repeat(np.arange(graph.m), graph.sizes - 1)
     band = 1.0 + np.diagonal(graph.wq) / graph.cell_degrees
     spectrum = np.concatenate([eig.values, band[pair_cell]])
-    keep = np.argsort(spectrum, kind="stable")[1 : dim + 1]
-    from_quotient = keep < graph.m
+    order = np.argsort(spectrum, kind="stable")
+    keep = order[1 : dim + 1]
+    eigengap = None
+    if dim + 1 < order.size:
+        eigengap = float(spectrum[order[dim + 1]] - spectrum[keep[-1]])
+    from_quotient = keep < solved
     y = np.zeros((graph.n, dim))
     y[:, from_quotient] = eig.vectors[:, keep[from_quotient]][graph.cell_index]
     # Pair p of cell q is its j-th Helmert contrast: 1 on the cell's first j
     # samples, -j on sample j + 1, over sqrt(j (j + 1) d_q).
     first_pair = np.cumsum(graph.sizes - 1) - (graph.sizes - 1)
     for col in np.flatnonzero(~from_quotient):
-        q = pair_cell[keep[col] - graph.m]
-        j = keep[col] - graph.m - first_pair[q] + 1
+        q = pair_cell[keep[col] - solved]
+        j = keep[col] - solved - first_pair[q] + 1
         members = np.flatnonzero(graph.cell_index == q)
         y[members[:j], col] = 1.0
         y[members[j], col] = -float(j)
         y[:, col] /= np.sqrt(j * (j + 1) * graph.cell_degrees[q])
-    return spectrum[keep], _fix_signs(y)
+    return spectrum[keep], eigengap, _fix_signs(y)
 
 
 def export_embedding(
@@ -170,8 +187,9 @@ def export_embedding(
 
     The sidecar ``embedding_meta.json`` holds dim, k, t, seed, the kept
     eigenvalues ascending, ``view_offsets`` (the first joint row of each
-    view) and ``bon_cells`` (the number m of distinct (BON vector, label)
-    cells of the joint graph).
+    view), ``bon_cells`` (the number m of distinct (BON vector, label)
+    cells of the joint graph), ``eigengap`` (λ_dim+1 - λ_dim, null when
+    dim = N - 1) and ``eig_solver`` (``"lanczos"`` or ``"dense"``).
 
     Returns the list of paths written, views first, sidecar last.
     """
@@ -189,6 +207,8 @@ def export_embedding(
         "seed": seed,
         "view_offsets": [int(v) for v in artifacts.graph.block_offsets],
         "bon_cells": int(artifacts.graph.m),
+        "eigengap": artifacts.eigengap,
+        "eig_solver": artifacts.eig_solver,
     }
     meta_path = os.path.join(out_dir, "embedding_meta.json")
     with open(meta_path, "w", encoding="utf-8") as fh:

@@ -76,7 +76,9 @@ class CellGraph:
         with its diagonal dropped, which is the same matrix without the
         cancellation.
         """
-        lq = self.wq * -np.outer(self.sizes, self.sizes)
+        sizes = self.sizes.astype(np.float64)
+        lq = np.multiply.outer(-sizes, sizes)
+        lq *= self.wq
         np.fill_diagonal(lq, 0.0)
         np.fill_diagonal(lq, -lq.sum(axis=1))
         return lq, self.sizes * self.cell_degrees

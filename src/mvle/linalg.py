@@ -1,12 +1,20 @@
-"""Dense symmetric eigensolver and ridge regression.
+"""Symmetric eigensolver and ridge regression.
 
 All routines work on float64 ``numpy`` arrays and are deterministic:
 eigenvalues come back in ascending order and every eigenvector has its
-largest-magnitude entry forced positive. Backed by LAPACK's symmetric
-driver via ``numpy.linalg``; the generalized problem with a diagonal
-metric is reduced to a standard symmetric one by whitening, never by
-forming a nonsymmetric product. A unit diagonal gives the standard
+largest-magnitude entry forced positive. The generalized problem with a
+diagonal metric is reduced to a standard symmetric one by whitening, never
+by forming a nonsymmetric product. A unit diagonal gives the standard
 symmetric eigenproblem.
+
+The full spectrum comes from LAPACK's symmetric driver via
+``numpy.linalg``. When only the lowest ``count`` pairs are asked for and the
+order is at least ``LANCZOS_MIN_ORDER``, they come from ARPACK's Lanczos
+iteration via ``scipy.sparse.linalg.eigsh`` with a fixed start vector, and
+are certified before use: every residual must be small, and a Cholesky
+factorisation of the shifted, deflated matrix must prove that no eigenvalue
+below the cut was skipped. If ARPACK fails or either check does, the full
+solve runs instead, so no uncertified pair is ever returned.
 
 Tolerances are fixed module-wide: inputs are validated at 1e-10
 (relative), results are certified at 1e-8.
@@ -17,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import (
     NoConvergenceError,
@@ -27,17 +36,26 @@ from .errors import (
 
 INPUT_TOL = 1e-10
 RESULT_TOL = 1e-8
+# Smallest order solved by Lanczos when fewer than all pairs are asked for.
+# Measured on graph quotients with 2 vCPUs: at order 518 Lanczos saves about
+# 0.025 s, which the slower NumPy BLAS calls after SciPy's BLAS threads wake
+# give back; at 1000 it saves about 0.1 s, and at 2665 it is 4x faster.
+LANCZOS_MIN_ORDER = 1000
+# Rows or columns per block where m×m work is done in pieces.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
 class EigenResult:
     """Eigenvalues in ascending order with column-aligned eigenvectors.
 
-    ``vectors[:, j]`` belongs to ``values[j]``.
+    ``vectors[:, j]`` belongs to ``values[j]``. ``solver`` names the path
+    that produced them, ``"dense"`` or ``"lanczos"``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
+    solver: str
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -52,16 +70,26 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # Largest-magnitude entry of each column made positive; argmax breaks
-    # magnitude ties by lowest row index, so the convention is total.
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+def _lead_signs(vectors: np.ndarray) -> np.ndarray:
+    # The sign of each column's largest-magnitude entry, zero read as +1;
+    # argmax breaks magnitude ties by lowest row index, so the convention is
+    # total. Column blocks bound the temporary ``abs`` copy.
+    cols = vectors.shape[1]
+    lead = np.concatenate([
+        np.argmax(np.abs(vectors[:, j : j + _BLOCK]), axis=0)
+        for j in range(0, max(cols, 1), _BLOCK)
+    ])
+    signs = np.sign(vectors[lead, np.arange(cols)])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return signs
 
 
-def generalized_eig_diag(l, d) -> EigenResult:
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` with the largest-magnitude entry of each column positive."""
+    return vectors * _lead_signs(vectors)
+
+
+def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     """Solve ``L y = lambda D y`` for symmetric ``L`` and positive diagonal ``D``.
 
     ``d`` may be the diagonal as a 1-D vector or as a full diagonal
@@ -69,6 +97,12 @@ def generalized_eig_diag(l, d) -> EigenResult:
     be symmetric within 1e-10 relative to its own largest entry; it is
     averaged with its transpose so roundoff-level asymmetry cannot leak into
     the result. The eigenvectors are mapped back so that ``Y^T D Y = I``.
+
+    ``count`` asks for the lowest ``count`` pairs only. On an order of at
+    least ``LANCZOS_MIN_ORDER`` they come from certified Lanczos and the
+    result holds exactly ``count`` pairs (``solver == "lanczos"``);
+    otherwise, and whenever a certificate fails, the full dense solve runs
+    and the result holds every pair (``solver == "dense"``).
 
     Raises
     ------
@@ -80,14 +114,15 @@ def generalized_eig_diag(l, d) -> EigenResult:
         If the underlying iteration does not converge.
     """
     lm = as_matrix(l, "l")
-    if lm.shape[0] != lm.shape[1]:
+    m = lm.shape[0]
+    if m != lm.shape[1]:
         raise ValueError(f"l must be square, got shape {lm.shape}")
     dv = np.asarray(d, dtype=np.float64)
     if dv.ndim == 2:
         dv = np.diagonal(dv).copy()
-    if dv.ndim != 1 or dv.shape[0] != lm.shape[0]:
+    if dv.ndim != 1 or dv.shape[0] != m:
         raise ValueError(
-            f"d must be a diagonal of length {lm.shape[0]}, got shape {dv.shape}"
+            f"d must be a diagonal of length {m}, got shape {dv.shape}"
         )
     if not np.all(np.isfinite(dv)):
         raise ValueError("d contains NaN or Inf")
@@ -96,21 +131,111 @@ def generalized_eig_diag(l, d) -> EigenResult:
         raise SingularDegreeError(
             f"diagonal entry {bad[0]} is {dv[bad[0]]:.6g}; all degrees must be positive"
         )
+    if count is not None and not 1 <= count <= m:
+        raise ValueError(f"count must be in [1, {m}], got {count}")
     inv_sqrt = 1.0 / np.sqrt(dv)
-    white = as_matrix(inv_sqrt[:, None] * lm * inv_sqrt[None, :], "whitened l")
-    scale = max(float(np.abs(white).max()), 1e-300)
-    asym = float(np.abs(white - white.T).max())
+    white, scale = _whiten(lm, inv_sqrt)
+    if count is not None and count < m and m >= LANCZOS_MIN_ORDER:
+        # The certificate factors ``white`` in place; a failed one whitens
+        # again, which gives the same bits.
+        found = _certified_lanczos(white, count, np.sqrt(dv), scale)
+        if found is not None:
+            values, vectors = found
+            vectors *= inv_sqrt[:, None]
+            return EigenResult(values, _fix_signs(vectors), "lanczos")
+        white, _ = _whiten(lm, inv_sqrt)
+    try:
+        values, vectors = np.linalg.eigh(white)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    # The sign convention is applied once, to the mapped-back vectors.
+    vectors *= inv_sqrt[:, None]
+    vectors *= _lead_signs(vectors)
+    return EigenResult(values, vectors, "dense")
+
+
+def _whiten(lm: np.ndarray, inv_sqrt: np.ndarray) -> tuple[np.ndarray, float]:
+    """``D^{-1/2} L D^{-1/2}`` averaged with its transpose, and its largest
+    magnitude, in one new array."""
+    white = inv_sqrt[:, None] * lm
+    white *= inv_sqrt
+    # max and min propagate NaN, so one finite scale means a finite matrix.
+    scale = max(float(white.max()), -float(white.min()))
+    if not np.isfinite(scale):
+        raise ValueError("whitened l contains NaN or Inf")
+    scale = max(scale, 1e-300)
+    asym = _symmetrize(white)
     if asym > INPUT_TOL * scale:
         raise NonSymmetricError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e} "
             f"exceeds {INPUT_TOL:.0e} * {scale:.3e}"
         )
+    return white, scale
+
+
+def _symmetrize(a: np.ndarray) -> float:
+    """Set square ``a`` to ``(a + a^T) / 2`` in place, block by block, and
+    return the largest ``|a - a^T|`` it had. Float addition commutes, so the
+    result is exactly symmetric and equals ``0.5 * (a + a.T)`` bit for bit."""
+    n = a.shape[0]
+    asym = 0.0
+    for i in range(0, n, _BLOCK):
+        for j in range(i, n, _BLOCK):
+            upper = a[i : i + _BLOCK, j : j + _BLOCK]
+            lower = a[j : j + _BLOCK, i : i + _BLOCK].T
+            asym = max(asym, float(np.abs(upper - lower).max()))
+            mean = upper + lower
+            mean *= 0.5
+            upper[...] = mean
+            lower[...] = mean
+    return asym
+
+
+def _certified_lanczos(
+    white: np.ndarray, count: int, root_d: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``count`` lowest eigenpairs of symmetric ``white`` by ARPACK
+    Lanczos, or ``None`` unless both certificates hold.
+
+    Accuracy: the residuals ``W V - V diag(lambda)`` have Frobenius norm at
+    most ``tol = RESULT_TOL * scale`` and ``V^T V = I`` within RESULT_TOL.
+    Completeness: with ``sigma = lambda_count + 2 max(tol, RESULT_TOL)``,
+    ``S = W - sigma I + V diag(c) V^T`` with ``c > sigma - lambda`` lifts
+    the found pairs above zero. A rank-``count`` update removes at most
+    ``count`` negative eigenvalues, so if ``S`` is positive definite (its
+    Cholesky factorisation succeeds), ``W`` has at most ``count``
+    eigenvalues below ``sigma``; the residual bound puts ``count`` of them
+    within ``tol`` of the found values. Every eigenvalue left out is then
+    at least ``sigma``. ``white`` is overwritten by the factorisation.
+    """
+    # Imported here: it adds about 30 ms to every start of the program, and
+    # only large quotients need it.
+    from scipy.sparse.linalg import ArpackError, eigsh
+
     try:
-        values, vectors = np.linalg.eigh(0.5 * (white + white.T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    # The sign convention is applied once, to the mapped-back vectors.
-    return EigenResult(values=values, vectors=_fix_signs(inv_sqrt[:, None] * vectors))
+        values, vectors = eigsh(
+            white, k=count, which="SA", tol=0, v0=root_d / np.linalg.norm(root_d)
+        )
+    except ArpackError:
+        return None
+    order = np.argsort(values)
+    values, vectors = values[order], vectors[:, order]
+    tol = RESULT_TOL * scale
+    residual = white @ vectors
+    residual -= vectors * values
+    gram = vectors.T @ vectors
+    np.fill_diagonal(gram, np.diagonal(gram) - 1.0)
+    # Written so that a NaN anywhere fails the check.
+    if not (np.linalg.norm(residual) <= tol and np.abs(gram).max() <= RESULT_TOL):
+        return None
+    sigma = values[-1] + 2.0 * max(tol, RESULT_TOL)
+    lifted = vectors * (sigma - values + max(scale, 1.0))
+    white[np.diag_indices_from(white)] -= sigma
+    for i in range(0, white.shape[0], _BLOCK):
+        white[i : i + _BLOCK] += lifted[i : i + _BLOCK] @ vectors.T
+    # ``white.T`` is the Fortran-ordered view LAPACK factors without a copy.
+    _, info = dpotrf(white.T, lower=False, clean=False, overwrite_a=True)
+    return (values, vectors) if info == 0 else None
 
 
 def ridge_solve(h, t, lam: float) -> np.ndarray:

@@ -197,3 +197,13 @@ class TestExport:
             np.column_stack([b.counts, v.labels]) for b, v in zip(art.bons, ds.views)
         ])
         assert meta["bon_cells"] == len({tuple(row) for row in keyed.tolist()})
+        assert meta["eig_solver"] == "dense"
+        assert meta["eigengap"] == art.eigengap > 0.0
+
+    def test_export_eigengap_null_at_full_width(self, tmp_path):
+        rng = np.random.default_rng(104)
+        ds = clustered_dataset(rng, per_class=5, classes=2)
+        emb, art = fit(ds, k=3, dim=ds.n_total - 1)
+        export_embedding(emb, art, tmp_path)
+        meta = json.loads((tmp_path / "embedding_meta.json").read_text())
+        assert meta["eigengap"] is None and meta["eig_solver"] == "dense"

@@ -7,11 +7,13 @@ than re-calling the code under test.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse.linalg
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from mvle.errors import NonSymmetricError, SingularDegreeError, SingularMatrixError
-from mvle.linalg import generalized_eig_diag, ridge_solve
+from mvle.linalg import LANCZOS_MIN_ORDER, generalized_eig_diag, ridge_solve
 
 
 def unit_metric_eig(a):
@@ -175,6 +177,154 @@ class TestGeneralizedEigDiag:
             generalized_eig_diag(lap, np.array([1.0, 0.0]))
         with pytest.raises(SingularDegreeError):
             generalized_eig_diag(lap, np.array([1.0, -2.0]))
+
+
+def sparse_laplacian(rng, n, components=1):
+    """Laplacian and degrees of a random weighted graph on ``n`` nodes: each
+    of ``components`` contiguous blocks is a ring plus about four random
+    chords per node, so it is connected and every degree is positive."""
+    w = np.zeros((n, n))
+    for block in np.array_split(np.arange(n), components):
+        ring = np.roll(block, 1)
+        w[block, ring] = rng.uniform(0.1, 1.0, size=block.size)
+        for _ in range(2):
+            w[block, rng.permutation(block)] += rng.uniform(0.0, 1.0, size=block.size)
+    np.fill_diagonal(w, 0.0)
+    w = w + w.T
+    d = w.sum(axis=1)
+    return np.diag(d) - w, d
+
+
+def unit_projector(vectors, d):
+    """The spectral projector of D-orthonormal ``vectors`` at unit scale."""
+    unit = np.sqrt(d)[:, None] * vectors
+    return unit @ unit.T
+
+
+class TestCertifiedLanczos:
+    # Blocks of the full spectrum are cut where neighbours differ by more than
+    # this; each block's projector is then fixed to about eps / GAP.
+    GAP = 1e-4
+
+    # No shrinking: a shrunk seed draws no simpler graph, and shrinking a
+    # failure at this size took minutes and 2.6 GB before pytest ran out of
+    # memory formatting it.
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.integers(0, 200),
+        count=st.integers(1, 12),
+        dense_weights=st.booleans(),
+    )
+    def test_matches_full_solve(self, seed, extra, count, dense_weights):
+        rng = np.random.default_rng(seed)
+        n = LANCZOS_MIN_ORDER + extra
+        lap, d = random_laplacian(rng, n) if dense_weights else sparse_laplacian(rng, n)
+        got = generalized_eig_diag(lap, d, count=count)
+        want = generalized_eig_diag(lap, d)
+        assert got.solver == "lanczos" and want.solver == "dense"
+        assert got.values.shape == (count,) and got.vectors.shape == (n, count)
+        assert np.abs(got.values - want.values[:count]).max() < 1e-10
+        bounds = np.concatenate([[0], np.flatnonzero(np.diff(want.values) > self.GAP) + 1])
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > count:
+                break
+            err = unit_projector(got.vectors[:, lo:hi], d) - unit_projector(want.vectors[:, lo:hi], d)
+            assert np.abs(err).max() < 1e-10, (lo, hi)
+        # The sign convention holds on the Lanczos columns too.
+        lead = np.argmax(np.abs(got.vectors), axis=0)
+        assert np.all(got.vectors[lead, np.arange(count)] > 0.0)
+
+    def test_below_threshold_stays_dense(self):
+        lap, d = sparse_laplacian(np.random.default_rng(41), LANCZOS_MIN_ORDER - 1)
+        got = generalized_eig_diag(lap, d, count=5)
+        want = generalized_eig_diag(lap, d)
+        assert got.solver == "dense"
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
+    def assert_falls_back(self, lap, d, count):
+        got = generalized_eig_diag(lap, d, count=count)
+        want = generalized_eig_diag(lap, d)
+        assert got.solver == "dense"
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.vectors, want.vectors)
+
+    def test_skipped_lowest_pair_rejected(self, monkeypatch):
+        # Pairs 2..k+1 are exact eigenpairs with tiny residuals; only the
+        # completeness check can see that the lowest one is missing.
+        def skipping_eigsh(a, k, **kwargs):
+            values, vectors = np.linalg.eigh(a)
+            return values[1 : k + 1], vectors[:, 1 : k + 1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
+        lap, d = sparse_laplacian(np.random.default_rng(42), LANCZOS_MIN_ORDER)
+        self.assert_falls_back(lap, d, 6)
+
+    def test_inaccurate_pairs_rejected(self, monkeypatch):
+        # The lowest pairs with their first two vectors rotated by 1e-4 rad:
+        # still orthonormal and complete, but the residuals fail.
+        def rotated_eigsh(a, k, **kwargs):
+            values, vectors = np.linalg.eigh(a)
+            c, s = np.cos(1e-4), np.sin(1e-4)
+            vectors = vectors[:, :k].copy()
+            vectors[:, :2] = vectors[:, :2] @ np.array([[c, -s], [s, c]])
+            return values[:k], vectors
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", rotated_eigsh)
+        lap, d = sparse_laplacian(np.random.default_rng(46), LANCZOS_MIN_ORDER)
+        self.assert_falls_back(lap, d, 5)
+
+    def test_repeated_pair_rejected(self, monkeypatch):
+        # The lowest pair twice, then the next ones: every residual is tiny
+        # and the lift covers every eigenvalue below the cut, so only the
+        # orthonormality check sees that one value is reported twice.
+        def repeating_eigsh(a, k, **kwargs):
+            values, vectors = np.linalg.eigh(a)
+            index = np.r_[0, 0 : k - 1]
+            return values[index], vectors[:, index]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", repeating_eigsh)
+        lap, d = sparse_laplacian(np.random.default_rng(48), LANCZOS_MIN_ORDER)
+        self.assert_falls_back(lap, d, 5)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9])
+    def test_tie_at_the_cut_falls_back(self, gap):
+        # Eigenvalues 0.1, 0.2, 0.25, 0.3 and then 0.3 + gap: with four pairs
+        # asked for, the fifth lies within the certificate's 2e-8 margin.
+        rng = np.random.default_rng(47)
+        n = LANCZOS_MIN_ORDER
+        spectrum = np.concatenate([[0.1, 0.2, 0.25, 0.3, 0.3 + gap], np.linspace(1.0, 2.0, n - 5)])
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = (q * spectrum) @ q.T
+        a = (a + a.T) / 2.0
+        self.assert_falls_back(a, np.ones(n), 4)
+
+    def test_more_components_than_count(self):
+        # Four components give eigenvalue 0 four times; three pairs cannot
+        # certify that nothing lies below the cut.
+        lap, d = sparse_laplacian(np.random.default_rng(43), LANCZOS_MIN_ORDER, components=4)
+        self.assert_falls_back(lap, d, 3)
+        assert np.count_nonzero(generalized_eig_diag(lap, d).values < 1e-8) == 4
+
+    def test_no_convergence_falls_back(self, monkeypatch):
+        def failing_eigsh(a, k, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((a.shape[0], 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+        lap, d = sparse_laplacian(np.random.default_rng(44), LANCZOS_MIN_ORDER)
+        self.assert_falls_back(lap, d, 4)
+
+    def test_count_out_of_range_rejected(self):
+        lap, d = random_laplacian(np.random.default_rng(45), 5)
+        for count in (0, 6):
+            with pytest.raises(ValueError):
+                generalized_eig_diag(lap, d, count=count)
 
 
 class TestRidgeSolve:

@@ -14,11 +14,13 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from mvle import embedding as embedding_mod
+from mvle import linalg as linalg_mod
 from mvle.bon import bon_vectors, knn
 from mvle.dataset import (
     MultiViewDataset,
@@ -31,7 +33,7 @@ from mvle.dataset import (
 from mvle.embedding import fit
 from mvle.errors import IsolatedSampleError
 from mvle.graph import CellGraph
-from mvle.linalg import generalized_eig_diag
+from mvle.linalg import LANCZOS_MIN_ORDER, _fix_signs, generalized_eig_diag
 from oracle import degree_and_laplacian, dense_graph, repeated_points
 
 EIG_TOL = 1e-10
@@ -184,6 +186,10 @@ def test_quotient_matches_dense(instance):
     spectrum = np.sort(np.concatenate([quotient, np.repeat(band, graph.sizes - 1)]))
     assert np.max(np.abs(spectrum - dense.values)) < EIG_TOL
     assert np.max(np.abs(emb.eigenvalues - dense.values[1 : dim + 1])) < EIG_TOL
+    if dim == ds.n_total - 1:
+        assert art.eigengap is None
+    else:
+        assert abs(art.eigengap - (dense.values[dim + 1] - dense.values[dim])) < 2 * EIG_TOL
     # The sign convention holds on the expanded rows.
     lead = np.argmax(np.abs(emb.y), axis=0)
     assert np.all(emb.y[lead, np.arange(dim)] > 0.0)
@@ -253,3 +259,92 @@ def test_sign_tie_between_cells_breaks_by_sample_index():
     assert art.graph.cell_index.tolist() == [1, 1, 1, 0, 0, 0]
     assert emb.y[0, 0] > 0.0
     assert np.array_equal(emb.y[:, 0], np.repeat([1.0, -1.0], 3) * emb.y[0, 0])
+
+
+def test_eigensolve_bits_match_the_out_of_place_formulas():
+    # The quotient and its dense solve work in place; on a protocol-sized
+    # and a c4-sized quotient they give the bits of the plain formulas.
+    for spec in (SyntheticSpec(samples_per_class=150), SyntheticSpec(samples_per_class=500)):
+        ds, _ = split(gen_synthetic(spec), 2.0 / 3.0, 7)
+        _, art = fit(ds, 10, 8)
+        graph = art.graph
+        lq, dq = graph.quotient()
+        want = graph.wq * -np.outer(graph.sizes, graph.sizes)
+        np.fill_diagonal(want, 0.0)
+        np.fill_diagonal(want, -want.sum(axis=1))
+        assert np.array_equal(lq, want)
+        inv_sqrt = 1.0 / np.sqrt(dq)
+        white = inv_sqrt[:, None] * lq * inv_sqrt[None, :]
+        values, vectors = np.linalg.eigh(0.5 * (white + white.T))
+        got = generalized_eig_diag(lq, dq, count=10)
+        assert got.solver == "dense" and graph.m < LANCZOS_MIN_ORDER
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.vectors, _fix_signs(inv_sqrt[:, None] * vectors))
+
+
+def fit_solver(ds, k, dim, min_order=None):
+    """``fit``, the solver its quotient solve took, and whether ARPACK ran;
+    ``min_order`` overrides the Lanczos threshold."""
+    eigsh = scipy.sparse.linalg.eigsh
+    with mock.patch.object(scipy.sparse.linalg, "eigsh", wraps=eigsh) as spy:
+        if min_order is not None:
+            with mock.patch.object(linalg_mod, "LANCZOS_MIN_ORDER", min_order):
+                emb, art = fit(ds, k, dim)
+        else:
+            emb, art = fit(ds, k, dim)
+    return emb, art, spy.called
+
+
+def test_large_quotient_fit_takes_lanczos_and_matches_dense():
+    # 16 overlapping classes leave most BON cells distinct, as in the
+    # pipeline-c16 benchmark.
+    ds = gen_synthetic(SyntheticSpec(class_count=16, samples_per_class=50, noise_sigma=1.0))
+    emb, art, called = fit_solver(ds, 10, 8)
+    assert art.graph.m >= LANCZOS_MIN_ORDER
+    assert called and art.eig_solver == "lanczos"
+    want, want_art, called = fit_solver(ds, 10, 8, min_order=art.graph.m + 1)
+    assert not called and want_art.eig_solver == "dense"
+    assert np.max(np.abs(emb.eigenvalues - want.eigenvalues)) < EIG_TOL
+    assert abs(art.eigengap - want_art.eigengap) < 2 * EIG_TOL
+    assert np.max(np.abs(emb.y - want.y)) < EIG_TOL
+
+
+def test_protocol_sized_fit_stays_dense():
+    ds, _ = split(gen_synthetic(SyntheticSpec(samples_per_class=60)), 2.0 / 3.0, 7)
+    _, art, called = fit_solver(ds, 10, 16)
+    assert art.graph.m < LANCZOS_MIN_ORDER
+    assert not called and art.eig_solver == "dense"
+
+
+def separated_groups(groups, per_class=55, seed=3):
+    """Two views of ``groups`` far-apart blobs, each with its own four
+    classes, so the joint graph has ``groups`` components."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(1, 4 * groups + 1), per_class)
+    group = (labels - 1) // 4
+    views = []
+    for width in (6, 5):
+        feats = 1e3 * group[:, None] + rng.normal(size=(labels.size, width))
+        views.append(View(feats, labels))
+    return MultiViewDataset(views=tuple(views), class_count=4 * groups)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_disconnected_large_quotient_warns_as_dense(dim):
+    # Four components: dim = 1 asks for three quotient pairs, fewer than the
+    # zero eigenvalues, so the certificate fails and the dense solve runs;
+    # dim = 4 asks for six, and Lanczos finds all four.
+    ds = separated_groups(4)
+    runs = []
+    for min_order in (None, 10**9):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            emb, art, _ = fit_solver(ds, 10, dim, min_order)
+        runs.append(([str(w.message) for w in caught], emb, art))
+    (got_warn, got, got_art), (want_warn, want, want_art) = runs
+    assert got_art.graph.m >= LANCZOS_MIN_ORDER
+    assert got_art.eig_solver == ("dense" if dim == 1 else "lanczos")
+    assert want_art.eig_solver == "dense"
+    assert got_warn == want_warn and len(got_warn) == 1
+    assert "4 near-zero eigenvalues" in got_warn[0]
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < EIG_TOL
