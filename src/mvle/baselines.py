@@ -135,7 +135,7 @@ def _inv_sqrt_psd(a: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def cca_fit(x, y, dim: int | None = None, kappa: float = CCA_KAPPA) -> CcaResult:
+def cca_fit(x, y, kappa: float = CCA_KAPPA) -> CcaResult:
     """Regularized canonical correlation analysis of two paired blocks.
 
     Autocovariances are ridged with ``kappa * I`` before whitening; the
@@ -165,10 +165,6 @@ def cca_fit(x, y, dim: int | None = None, kappa: float = CCA_KAPPA) -> CcaResult
     wy_white = _inv_sqrt_psd(syy)
     u, s, vt = np.linalg.svd(wx_white @ sxy @ wy_white)
     r = min(xm.shape[1], ym.shape[1])
-    if dim is not None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        r = min(r, dim)
     wx = _fix_signs(wx_white @ u[:, :r])
     wy = _fix_signs(wy_white @ vt.T[:, :r])
     return CcaResult(wx=wx, wy=wy, correlations=s[:r].copy())
@@ -201,7 +197,7 @@ def cca_lda_fit(ds: MultiViewDataset, dim: int) -> LinearProjector:
 
 @dataclass(frozen=True)
 class PlsResult:
-    """NIPALS outputs: unit-norm weights, loadings, scores, and rotations."""
+    """PLS outputs: unit-norm weights, loadings, scores, and rotations."""
 
     x_weights: np.ndarray
     y_weights: np.ndarray
@@ -213,15 +209,18 @@ class PlsResult:
     y_rotations: np.ndarray
 
 
-def nipals_pls(
-    x, y, dim: int, max_iter: int = 2000, tol: float = 1e-10
-) -> PlsResult:
-    """Two-block NIPALS partial least squares with symmetric deflation.
+def nipals_pls(x, y, dim: int) -> PlsResult:
+    """Two-block partial least squares with symmetric deflation (PLS-W2A).
+
+    Each component's weights are the leading singular pair of the deflated
+    cross-covariance ``xd^T yd`` from one SVD: the fixed point NIPALS power
+    iteration approaches, with the sign it reaches from its start ``u0``,
+    the Y column of largest norm (``wx . xd^T u0 >= 0``).
 
     Raises
     ------
     NoConvergenceError
-        If a component's power iteration exhausts ``max_iter``.
+        If no component can be extracted.
     UnpairedViewsError
         If the blocks disagree on sample count.
     """
@@ -242,29 +241,10 @@ def nipals_pls(
     for _ in range(cap):
         if np.linalg.norm(xd) < 1e-12 or np.linalg.norm(yd) < 1e-12:
             break
-        u = yd[:, int(np.argmax(np.einsum("ij,ij->j", yd, yd)))].copy()
-        wx = np.zeros(xd.shape[1])
-        for _ in range(max_iter):
-            wx_new = xd.T @ u
-            nrm = np.linalg.norm(wx_new)
-            if nrm < 1e-15:
-                raise NoConvergenceError("X weights collapsed to zero")
-            wx_new /= nrm
-            t_scores = xd @ wx_new
-            wy = yd.T @ t_scores
-            nrm = np.linalg.norm(wy)
-            if nrm < 1e-15:
-                raise NoConvergenceError("Y weights collapsed to zero")
-            wy /= nrm
-            u = yd @ wy
-            if np.linalg.norm(wx_new - wx) < tol:
-                wx = wx_new
-                break
-            wx = wx_new
-        else:
-            raise NoConvergenceError(
-                f"NIPALS did not converge within {max_iter} iterations"
-            )
+        u, _, vt = np.linalg.svd(xd.T @ yd, full_matrices=False)
+        u0 = yd[:, int(np.argmax(np.einsum("ij,ij->j", yd, yd)))]
+        sign = 1.0 if u[:, 0] @ (xd.T @ u0) >= 0 else -1.0
+        wx, wy = sign * u[:, 0], sign * vt[0]
         t_scores = xd @ wx
         u_scores = yd @ wy
         tt = float(t_scores @ t_scores)
@@ -358,14 +338,9 @@ def mvda_fit(
             raise VcDimMismatchError(
                 f"view-consistency coupling needs equal view dimensions, got {dims}"
             )
+        # Block (i, j) is (v - 1) I on the diagonal and -I elsewhere.
         v = len(dims)
-        d = dims[0]
-        coupling = np.zeros((total, total))
-        eye = np.eye(d)
-        for i in range(v):
-            for j in range(v):
-                block = (v - 1) * eye if i == j else -eye
-                coupling[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
+        coupling = np.kron(v * np.eye(v) - 1.0, np.eye(dims[0]))
         denom = s_w + view_consistency_lambda * coupling
 
     beta = _top_generalized(s_b, denom, dim)

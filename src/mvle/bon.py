@@ -22,14 +22,6 @@ KNN_CHUNK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
-class NeighborTable:
-    """Indices of the k nearest neighbors of each sample, nearest first."""
-
-    indices: np.ndarray
-    k: int
-
-
-@dataclass(frozen=True)
 class BonMatrix:
     """Per-sample label counts over the k nearest neighbors."""
 
@@ -51,8 +43,9 @@ def pairwise_distance(x, a: int, b: int) -> float:
     return float(np.linalg.norm(m[a] - m[b]))
 
 
-def knn(x, k: int) -> NeighborTable:
-    """K nearest neighbors of every row of ``x`` by Euclidean distance.
+def knn(x, k: int) -> np.ndarray:
+    """Indices of the K nearest neighbors of every row of ``x``, nearest
+    first, by Euclidean distance: an (n, k) integer array.
 
     The sample itself is excluded. Distance ties break deterministically
     toward the lower row index. Distances are computed a block of rows at a
@@ -82,11 +75,12 @@ def knn(x, k: int) -> NeighborTable:
         order = np.lexsort((c, dist[r, c], r))
         first = np.searchsorted(r, np.arange(rows.size))
         indices[rows] = c[order][first[:, None] + np.arange(k)]
-    return NeighborTable(indices=indices, k=k)
+    return indices
 
 
-def bon_vectors(table: NeighborTable, labels, class_count: int) -> BonMatrix:
-    """Count neighbor labels per class for every sample.
+def bon_vectors(indices, labels, class_count: int) -> BonMatrix:
+    """Count, per class, the labels of every sample's neighbors ``indices``
+    (the (n, k) array from :func:`knn`).
 
     Raises
     ------
@@ -94,9 +88,9 @@ def bon_vectors(table: NeighborTable, labels, class_count: int) -> BonMatrix:
         If a label exceeds ``class_count``.
     """
     lab = np.asarray(labels, dtype=np.int64)
-    if lab.ndim != 1 or lab.shape[0] != table.indices.shape[0]:
+    if lab.ndim != 1 or lab.shape[0] != indices.shape[0]:
         raise ValueError(
-            f"labels shape {lab.shape} does not match {table.indices.shape[0]} samples"
+            f"labels shape {lab.shape} does not match {indices.shape[0]} samples"
         )
     if lab.min() < 1:
         raise LabelOutOfRangeError(f"labels must be >= 1, found {lab.min()}")
@@ -104,8 +98,8 @@ def bon_vectors(table: NeighborTable, labels, class_count: int) -> BonMatrix:
         raise ClassCountMismatchError(
             f"label {lab.max()} exceeds class_count {class_count}"
         )
-    neighbor_labels = lab[table.indices]
+    neighbor_labels = lab[indices]
     counts = np.zeros((lab.shape[0], class_count), dtype=np.int64)
     for cls in range(1, class_count + 1):
         counts[:, cls - 1] = (neighbor_labels == cls).sum(axis=1)
-    return BonMatrix(counts=counts, k=table.k)
+    return BonMatrix(counts=counts, k=indices.shape[1])

@@ -50,9 +50,8 @@ class Embedding:
 
 @dataclass(frozen=True)
 class FitArtifacts:
-    """Everything the fit derived along the way, kept for reuse downstream."""
+    """What the fit derived along the way that later stages reuse."""
 
-    bons: tuple[bon_mod.BonMatrix, ...]
     graph: CellGraph
     norm_stats: tuple[NormStats, ...]
     k: int
@@ -108,8 +107,8 @@ def fit(
     for view in ds.views:
         normalized, st = zscore_normalize(view.features)
         stats.append(st)
-        table = bon_mod.knn(normalized, k)
-        bons.append(bon_mod.bon_vectors(table, view.labels, ds.class_count))
+        indices = bon_mod.knn(normalized, k)
+        bons.append(bon_mod.bon_vectors(indices, view.labels, ds.class_count))
 
     graph = build_weight_graph(bons, [v.labels for v in ds.views], heat_t)
     # dim + 2 quotient pairs cover the kept pairs and the one after the cut.
@@ -129,7 +128,6 @@ def fit(
     per_view = tuple(y[sl].copy() for sl in graph.block_slices)
     embedding = Embedding(y=y, per_view=per_view, eigenvalues=values, dim=dim)
     artifacts = FitArtifacts(
-        bons=tuple(bons),
         graph=graph,
         norm_stats=tuple(stats),
         k=k,

@@ -42,13 +42,11 @@ from .errors import ClassCountMismatchError, IsolatedSampleError, LengthMismatch
 class CellGraph:
     """Joint graph over the distinct (BON vector, label) cells.
 
-    ``cells[q]`` is the BON vector of cell q followed by its label,
-    ``sizes[q]`` its sample count, ``cell_index[a]`` the cell of sample a,
-    ``wq[q, r]`` the weight between a sample of cell q and another of
-    cell r, and ``cell_degrees[q]`` the degree of every sample of cell q.
+    ``sizes[q]`` is the sample count of cell q, ``cell_index[a]`` the cell of
+    sample a, ``wq[q, r]`` the weight between a sample of cell q and another
+    of cell r, and ``cell_degrees[q]`` the degree of every sample of cell q.
     """
 
-    cells: np.ndarray
     sizes: np.ndarray
     cell_index: np.ndarray
     wq: np.ndarray
@@ -169,7 +167,6 @@ def build_weight_graph(
     cell_index = cell_index.reshape(-1)
     _require_edges(cell_degrees[cell_index])
     return CellGraph(
-        cells=cells,
         sizes=sizes,
         cell_index=cell_index,
         wq=wq,

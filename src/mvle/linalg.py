@@ -92,11 +92,11 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     """Solve ``L y = lambda D y`` for symmetric ``L`` and positive diagonal ``D``.
 
-    ``d`` may be the diagonal as a 1-D vector or as a full diagonal
-    matrix. The problem is whitened to ``D^{-1/2} L D^{-1/2}``, which must
-    be symmetric within 1e-10 relative to its own largest entry; it is
-    averaged with its transpose so roundoff-level asymmetry cannot leak into
-    the result. The eigenvectors are mapped back so that ``Y^T D Y = I``.
+    ``d`` is the diagonal as a 1-D vector. The problem is whitened to
+    ``D^{-1/2} L D^{-1/2}``, which must be symmetric within 1e-10 relative
+    to its own largest entry; it is averaged with its transpose so
+    roundoff-level asymmetry cannot leak into the result. The eigenvectors
+    are mapped back so that ``Y^T D Y = I``.
 
     ``count`` asks for the lowest ``count`` pairs only. On an order of at
     least ``LANCZOS_MIN_ORDER`` they come from certified Lanczos and the
@@ -118,8 +118,6 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     if m != lm.shape[1]:
         raise ValueError(f"l must be square, got shape {lm.shape}")
     dv = np.asarray(d, dtype=np.float64)
-    if dv.ndim == 2:
-        dv = np.diagonal(dv).copy()
     if dv.ndim != 1 or dv.shape[0] != m:
         raise ValueError(
             f"d must be a diagonal of length {m}, got shape {dv.shape}"
@@ -243,17 +241,18 @@ def ridge_solve(h, t, lam: float) -> np.ndarray:
 
     Solves the smaller of the two normal-equation systems. With ``n`` rows
     and ``p`` columns in ``H``, the primal ``(H^T H + lam I) b = H^T T`` is
-    p×p; when ``lam > 0`` and ``n < p``, the dual ``(H H^T + lam I) a = T``
-    is n×n and gives the same ``b = H^T a``, because
+    p×p; when ``n < p``, the dual ``(H H^T + lam I) a = T`` is n×n and
+    gives the same ``b = H^T a``, because
     ``(H^T H + lam I)^{-1} H^T = H^T (H H^T + lam I)^{-1}``. The choice
-    follows from the shape of ``h`` alone. ``lam == 0`` always takes the
-    primal form and its rank check. ``t`` may be a vector or a matrix of
-    stacked targets; the result has the matching shape.
+    follows from the shape of ``h`` alone. ``t`` may be a vector or a matrix
+    of stacked targets; the result has the matching shape.
 
     Raises
     ------
+    ValueError
+        Unless ``lam > 0``; a NaN ``lam`` is rejected too.
     SingularMatrixError
-        If ``lam == 0`` and ``H^T H`` is rank-deficient.
+        If LAPACK finds the regularized system singular.
     """
     hm = as_matrix(h, "h")
     tv = np.asarray(t, dtype=np.float64)
@@ -265,21 +264,13 @@ def ridge_solve(h, t, lam: float) -> np.ndarray:
         )
     if not np.all(np.isfinite(tm)):
         raise ValueError("t contains NaN or Inf")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam}")
     n, p = hm.shape
-    dual = lam > 0.0 and n < p
+    dual = n < p
     gram = hm @ hm.T if dual else hm.T @ hm
     gram = 0.5 * (gram + gram.T)
-    if lam == 0.0:
-        rank = np.linalg.matrix_rank(gram, hermitian=True)
-        if rank < p:
-            raise SingularMatrixError(
-                f"H^T H has rank {rank} < {p} and lam = 0; "
-                "supply a positive ridge parameter"
-            )
-    else:
-        gram = gram + lam * np.eye(gram.shape[0])
+    gram = gram + lam * np.eye(gram.shape[0])
     rhs = tm if dual else hm.T @ tm
     try:
         beta = np.linalg.solve(gram, rhs)

@@ -6,7 +6,8 @@ rebuild the dense degrees and Laplacian from that matrix here, and sum the
 smoothness cost literally, so that cell-form results can be checked
 against a route that shares no algebra with them. ``repeated_points`` is a
 data set whose wide fits take within-cell eigenpairs, shared by the
-quotient and benchmark tests.
+quotient and benchmark tests. ``nipals_weights`` is the two-block NIPALS
+power iteration that PLS weights are checked against.
 """
 
 from dataclasses import dataclass
@@ -84,3 +85,54 @@ def repeated_points(copies: int = 3, seed: int = 5) -> MultiViewDataset:
         points = rng.normal(size=(6, width))
         views.append(View(np.repeat(points, copies, axis=0), labels))
     return MultiViewDataset(views=tuple(views), class_count=2)
+
+
+def nipals_weights(x, y, dim: int, max_iter: int = 2000, tol: float = 1e-10):
+    """X and Y weight columns of two-block NIPALS PLS with symmetric deflation.
+
+    Each component alternates ``wx ∝ xd^T u``, ``wy ∝ yd^T xd wx``,
+    ``u = yd wy`` from ``u`` = the Y column of largest norm, until ``wx``
+    moves by less than ``tol``; a power iteration toward the leading
+    singular pair of ``xd^T yd``. Raises ``RuntimeError`` if a component
+    needs more than ``max_iter`` steps or a weight vector vanishes.
+    """
+    xd = np.asarray(x, dtype=np.float64)
+    yd = np.asarray(y, dtype=np.float64)
+    xd = xd - xd.mean(axis=0)
+    yd = yd - yd.mean(axis=0)
+    cap = min(dim, xd.shape[1], yd.shape[1], xd.shape[0] - 1)
+    wx_list, wy_list = [], []
+    for _ in range(cap):
+        if np.linalg.norm(xd) < 1e-12 or np.linalg.norm(yd) < 1e-12:
+            break
+        u = yd[:, int(np.argmax(np.einsum("ij,ij->j", yd, yd)))].copy()
+        wx = np.zeros(xd.shape[1])
+        for _ in range(max_iter):
+            wx_new = xd.T @ u
+            nrm = np.linalg.norm(wx_new)
+            if nrm < 1e-15:
+                raise RuntimeError("X weights collapsed to zero")
+            wx_new /= nrm
+            wy = yd.T @ (xd @ wx_new)
+            nrm = np.linalg.norm(wy)
+            if nrm < 1e-15:
+                raise RuntimeError("Y weights collapsed to zero")
+            wy /= nrm
+            u = yd @ wy
+            converged = np.linalg.norm(wx_new - wx) < tol
+            wx = wx_new
+            if converged:
+                break
+        else:
+            raise RuntimeError(f"NIPALS did not converge within {max_iter} iterations")
+        t_scores = xd @ wx
+        u_scores = yd @ wy
+        tt = float(t_scores @ t_scores)
+        uu = float(u_scores @ u_scores)
+        if tt < 1e-15 or uu < 1e-15:
+            break
+        xd = xd - np.outer(t_scores, xd.T @ t_scores / tt)
+        yd = yd - np.outer(u_scores, yd.T @ u_scores / uu)
+        wx_list.append(wx)
+        wy_list.append(wy)
+    return np.column_stack(wx_list), np.column_stack(wy_list)

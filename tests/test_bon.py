@@ -49,23 +49,23 @@ class TestKnn:
     def test_forced_ordering(self):
         x = np.array([[0.0], [1.0], [2.0], [10.0]])
         table = knn(x, 2)
-        assert set(table.indices[0].tolist()) == {1, 2}
-        assert table.indices[0].tolist() == [1, 2]
-        assert table.indices[3].tolist() == [2, 1]
+        assert set(table[0].tolist()) == {1, 2}
+        assert table[0].tolist() == [1, 2]
+        assert table[3].tolist() == [2, 1]
 
     def test_all_identical_tie_break(self):
         x = np.zeros((5, 3))
         table = knn(x, 2)
-        assert table.indices[0].tolist() == [1, 2]
-        assert table.indices[3].tolist() == [0, 1]
+        assert table[0].tolist() == [1, 2]
+        assert table[3].tolist() == [0, 1]
 
     def test_self_excluded(self):
         rng = np.random.default_rng(63)
         x = rng.normal(size=(20, 4))
         table = knn(x, 5)
         for a in range(20):
-            assert a not in table.indices[a]
-            assert len(table.indices[a]) == 5
+            assert a not in table[a]
+            assert len(table[a]) == 5
 
     def test_exhaustive_sort_oracle(self):
         # Oracle: full distance sort per sample with explicit tie handling.
@@ -78,14 +78,14 @@ class TestKnn:
             ]
             dists.sort()
             expect = [b for _, b in dists[:7]]
-            assert table.indices[a].tolist() == expect
+            assert table[a].tolist() == expect
 
     def test_neighbors_sorted_by_distance(self):
         rng = np.random.default_rng(65)
         x = rng.normal(size=(30, 3))
         table = knn(x, 6)
         for a in range(30):
-            seq = [pairwise_distance(x, a, b) for b in table.indices[a]]
+            seq = [pairwise_distance(x, a, b) for b in table[a]]
             assert all(seq[i] <= seq[i + 1] + 1e-15 for i in range(len(seq) - 1))
 
     def test_permutation_equivariance(self):
@@ -96,8 +96,8 @@ class TestKnn:
         base = knn(x, 4)
         shuffled = knn(x[perm], 4)
         for new_idx, old_idx in enumerate(perm):
-            mapped = [inverse[b] for b in base.indices[old_idx]]
-            assert shuffled.indices[new_idx].tolist() == mapped
+            mapped = [inverse[b] for b in base[old_idx]]
+            assert shuffled[new_idx].tolist() == mapped
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(67)
@@ -105,7 +105,7 @@ class TestKnn:
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         base = knn(x, 5)
         rotated = knn(x @ q, 5)
-        assert np.array_equal(base.indices, rotated.indices)
+        assert np.array_equal(base, rotated)
 
     @pytest.mark.parametrize("chunk_entries", [1, 97, 1 << 22])
     def test_tie_heavy_matches_stable_argsort(self, monkeypatch, chunk_entries):
@@ -115,7 +115,7 @@ class TestKnn:
         rng = np.random.default_rng(68)
         for n, d, k in [(40, 1, 5), (60, 2, 9), (33, 3, 32), (50, 2, 1)]:
             x = np.round(rng.normal(scale=1.5, size=(n, d)))
-            assert np.array_equal(knn(x, k).indices, argsort_knn(x, k))
+            assert np.array_equal(knn(x, k), argsort_knn(x, k))
 
     def test_k_too_large(self):
         x = np.zeros((4, 2))

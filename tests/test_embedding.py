@@ -194,7 +194,11 @@ class TestExport:
         # the first joint row of each view, and the distinct (BON, label) pairs
         assert meta["view_offsets"] == [0, ds.views[0].n]
         keyed = np.vstack([
-            np.column_stack([b.counts, v.labels]) for b, v in zip(art.bons, ds.views)
+            np.column_stack([
+                bon_vectors(knn(zscore_normalize(v.features)[0], 3), v.labels, 2).counts,
+                v.labels,
+            ])
+            for v in ds.views
         ])
         assert meta["bon_cells"] == len({tuple(row) for row in keyed.tolist()})
         assert meta["eig_solver"] == "dense"

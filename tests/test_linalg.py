@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mvle.errors import NonSymmetricError, SingularDegreeError, SingularMatrixError
+from mvle.errors import NonSymmetricError, SingularDegreeError
 from mvle.linalg import LANCZOS_MIN_ORDER, generalized_eig_diag, ridge_solve
 
 
@@ -164,12 +164,6 @@ class TestGeneralizedEigDiag:
             for j in range(10):
                 resid = lap @ res.vectors[:, j] - res.values[j] * (d * res.vectors[:, j])
                 assert np.max(np.abs(resid)) < 1e-8 * scale
-
-    def test_diag_matrix_argument_accepted(self):
-        lap, d = random_laplacian(np.random.default_rng(24), 6)
-        res_vec = generalized_eig_diag(lap, d)
-        res_mat = generalized_eig_diag(lap, np.diag(d))
-        assert np.allclose(res_vec.values, res_mat.values, atol=1e-12)
 
     def test_nonpositive_degree_rejected(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -328,11 +322,6 @@ class TestCertifiedLanczos:
 
 
 class TestRidgeSolve:
-    def test_identity_design_lambda_zero(self):
-        t = np.random.default_rng(31).normal(size=(4, 3))
-        b = ridge_solve(np.eye(4), t, 0.0)
-        assert np.allclose(b, t, atol=1e-10)
-
     def test_identity_design_lambda_one(self):
         t = np.random.default_rng(32).normal(size=(5, 2))
         b = ridge_solve(np.eye(5), t, 1.0)
@@ -384,19 +373,6 @@ class TestRidgeSolve:
         b2 = ridge_solve(h, t[:, None], 0.2)
         assert np.allclose(b, b2[:, 0], atol=1e-12)
 
-    def test_rank_deficient_lambda_zero_rejected(self):
-        h = np.ones((6, 3))
-        t = np.ones((6, 2))
-        with pytest.raises(SingularMatrixError):
-            ridge_solve(h, t, 0.0)
-
-    def test_lambda_zero_wide_design_rejected(self):
-        # Fewer rows than columns: H^T H is singular, and lam = 0 keeps the
-        # primal rank check rather than taking the dual form.
-        h = np.random.default_rng(36).normal(size=(4, 7))
-        with pytest.raises(SingularMatrixError):
-            ridge_solve(h, np.ones(4), 0.0)
-
     def test_rank_deficient_with_ridge_succeeds(self):
         h = np.ones((6, 3))
         t = np.ones((6, 2))
@@ -404,5 +380,6 @@ class TestRidgeSolve:
         assert np.all(np.isfinite(b))
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            ridge_solve(np.eye(2), np.eye(2), -1.0)
+        for lam in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError):
+                ridge_solve(np.eye(2), np.eye(2), lam)
