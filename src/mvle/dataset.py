@@ -9,6 +9,7 @@ different sample counts and feature dimensions but share the class set.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,10 @@ def _text_lines(path):
 def load_view_csv(features_path, labels_path) -> View:
     """Read a features/labels pair into a :class:`View`.
 
+    Well-formed files are parsed by numpy's C reader; anything it declines
+    goes to a strict line scanner, which accepts the same inputs and names
+    the row and column of the first bad cell.
+
     Raises
     ------
     ValueError
@@ -172,6 +177,41 @@ def load_view_csv(features_path, labels_path) -> View:
     OSError
         Propagated from the filesystem.
     """
+    view = _loadtxt_view(features_path, labels_path)
+    return view if view is not None else _scan_view(features_path, labels_path)
+
+
+def _loadtxt_view(features_path, labels_path) -> View | None:
+    """The view parsed by ``np.loadtxt``, or None to leave the pair to the scanner.
+
+    Returns None whenever the scanner might answer differently: on any parse
+    error or warning (an empty file only warns), a labels file with more than
+    one column, a row-count mismatch, or a value the scanner rejects. The
+    files are opened with ``open`` so a missing one raises the scanner's
+    ``OSError``.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with open(features_path, encoding="utf-8") as fh:
+                features = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                      dtype=np.float64)
+            # The scanner reports bad features before it opens the labels.
+            if features.size == 0 or not np.isfinite(features).all():
+                return None
+            # ndmin=2 keeps a one-line "1,2" labels file (1, 2), not (2,).
+            with open(labels_path, encoding="utf-8") as fh:
+                labels = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                    dtype=np.int64)
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    if labels.shape != (features.shape[0], 1) or labels.min() < 1:
+        return None
+    return View(features=features, labels=labels[:, 0])
+
+
+def _scan_view(features_path, labels_path) -> View:
+    """Parse a pair line by line, raising :func:`load_view_csv`'s errors."""
     rows: list[list[float]] = []
     width = None
     for line_no, line in _text_lines(features_path):

@@ -212,10 +212,21 @@ def decision_values(model: MhonModel, x) -> np.ndarray:
     return elm_scores(ElmClassifier(model.a2, model.b2, model.b_out), zn)
 
 
+#: Rows :func:`predict` scores at a time, so its hidden-layer temporaries stay
+#: a few MB however many rows it is given.
+PREDICT_BLOCK_ROWS = 4096
+
+
 def predict(model: MhonModel, x) -> np.ndarray:
     """Predicted 1-based labels; score ties resolve to the lowest class id."""
-    scores = decision_values(model, x)
-    return np.argmax(scores, axis=1).astype(np.int64) + 1
+    xm = np.asarray(x, dtype=np.float64)
+    _check_width(model, xm)
+    # max(n, 1): zero rows still make one (empty) block.
+    labels = [
+        np.argmax(decision_values(model, xm[start:start + PREDICT_BLOCK_ROWS]), axis=1)
+        for start in range(0, max(xm.shape[0], 1), PREDICT_BLOCK_ROWS)
+    ]
+    return np.concatenate(labels).astype(np.int64) + 1
 
 
 def _array_payload(a: np.ndarray) -> dict:

@@ -246,6 +246,29 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case):
     assert text in err[0]
 
 
+@pytest.mark.parametrize("flag", ["--features", "--labels"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_view_file_is_one_errno_line(tmp_path, capsys, flag, kind):
+    # The message is Python's own OSError text, not a reader's rewording of it.
+    data = gen_small(tmp_path)
+    models = tmp_path / "models"
+    assert main(["train-mhon"] + view_flags(data) + ["--k", "6", "--dim", "3",
+                                                     "--out-dir", str(models)]) == 0
+    bad = tmp_path / "nope.csv"
+    if kind == "directory":
+        bad.mkdir()
+    argv = ["eval", "--model", str(models / "mhon_view1.json")] + view_flags(data, 1)
+    argv[argv.index(flag) + 1] = str(bad)
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    if kind == "missing":
+        assert err == [f"error: FileNotFoundError: [Errno 2] No such file or directory: '{bad}'"]
+    else:
+        assert err == [f"error: IsADirectoryError: [Errno 21] Is a directory: '{bad}'"]
+
+
 class TestGen:
     def test_writes_views(self, tmp_path, capsys):
         out = gen_small(tmp_path)

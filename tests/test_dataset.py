@@ -1,9 +1,16 @@
 """Dataset container, CSV, normalization, split, and generator tests."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvle.dataset as dataset
+from mvle.cli import main
 from mvle.dataset import (
     MultiViewDataset,
     SyntheticSpec,
@@ -150,6 +157,181 @@ class TestCsv:
         back = load_view_csv(fp, lp)
         assert np.array_equal(back.features, view.features)
         assert np.array_equal(back.labels, view.labels)
+
+
+def csv_outcome(directory, features, labels):
+    """What :func:`load_view_csv` makes of the two file texts (str or bytes).
+
+    Labels None leave the labels file missing. A parsed view comes back as
+    (shape, feature bytes, labels); an error as (type, message).
+    """
+    fp, lp = Path(directory) / "features.csv", Path(directory) / "labels.csv"
+    for path, text in ((fp, features), (lp, labels)):
+        if text is not None:
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    try:
+        view = load_view_csv(fp, lp)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return view.features.shape, view.features.tobytes(), view.labels.tolist()
+
+
+def assert_matches_scanner(directory, features, labels):
+    got = csv_outcome(directory, features, labels)
+    with mock.patch.object(dataset, "_loadtxt_view", return_value=None):
+        assert got == csv_outcome(directory, features, labels)
+
+
+GOOD_LABELS = "1\n2\n"
+
+# (features text, labels text) pairs where numpy's reader and the strict
+# scanner could part ways: whitespace, line ends, cell syntax and label syntax.
+CSV_CASES = {
+    "plain": ("1,2\n3,4\n", GOOD_LABELS),
+    "blank_line": ("1,2\n\n3,4\n", GOOD_LABELS),
+    "spaces_only_line": ("1,2\n   \n3,4\n", GOOD_LABELS),
+    "tab_only_line": ("1,2\n\t\n3,4\n", GOOD_LABELS),
+    "padded_cells": (" 1 , 2 \n3,4\n", GOOD_LABELS),
+    "tab_padded_cells": ("\t1,2\t\n3,4\n", GOOD_LABELS),
+    "crlf": ("1,2\r\n3,4\r\n", "1\r\n2\r\n"),
+    "lone_cr": ("1,2\r3,4\r", "1\r2\r"),
+    "no_final_newline": ("1,2\n3,4", "1\n2"),
+    "trailing_commas": ("1,2,\n3,4,\n", GOOD_LABELS),
+    "empty_cell": ("1,,2\n3,4,5\n", GOOD_LABELS),
+    "ragged": ("1,2\n3\n", GOOD_LABELS),
+    "underscore": ("1_0,2\n3,4\n", GOOD_LABELS),
+    "nan": ("nan,2\n3,4\n", GOOD_LABELS),
+    "inf": ("1,inf\n3,4\n", GOOD_LABELS),
+    "minus_infinity": ("-Infinity,2\n3,4\n", GOOD_LABELS),
+    "overflow": ("1e999,2\n3,4\n", GOOD_LABELS),
+    "underflow": ("1e-400,2\n3,4\n", GOOD_LABELS),
+    "extremes": ("4.9e-324,1.7976931348623157e308\n3,4\n", GOOD_LABELS),
+    "signs_and_exponents": ("-0,+1.5e3\n.5,1.E-2\n", GOOD_LABELS),
+    "bom": ("\ufeff1,2\n3,4\n", GOOD_LABELS),
+    "arabic_indic_digit": ("\u0661,2\n3,4\n", GOOD_LABELS),
+    "no_break_space": ("\u00a01,2\n3,4\n", GOOD_LABELS),
+    "line_separator": ("1,2\n\u20283,4\n", GOOD_LABELS),
+    "file_separator": ("1,2\n3,4\x1c\n", GOOD_LABELS),
+    "quoted": ('"1",2\n3,4\n', GOOD_LABELS),
+    "hash_cell": ("#1,2\n3,4\n", GOOD_LABELS),
+    "hash_line": ("1,2\n#c\n3,4\n", GOOD_LABELS),
+    "trailing_hash": ("1,2\n3,4 # note\n", GOOD_LABELS),
+    "inner_space": ("1 2,3\n4,5\n", GOOD_LABELS),
+    "hex": ("0x10,2\n3,4\n", GOOD_LABELS),
+    "not_utf8": (b"1,\xff\n3,4\n", GOOD_LABELS),
+    "empty_files": ("", ""),
+    "blank_files": ("\n \n", "\n"),
+    "too_few_labels": ("1,2\n3,4\n", "1\n"),
+    "missing_labels": ("1,2\n3,4\n", None),
+    "missing_labels_after_nan": ("nan,2\n3,4\n", None),
+    "missing_labels_after_empty": ("", None),
+    "label_float": ("1,2\n3,4\n", "1.0\n2\n"),
+    "label_plus": ("1,2\n3,4\n", "+1\n2\n"),
+    "label_zero": ("1,2\n3,4\n", "0\n2\n"),
+    "label_negative": ("1,2\n3,4\n", "-1\n2\n"),
+    "label_beyond_int64": ("1,2\n3,4\n", "99999999999999999999\n2\n"),
+    "label_int64_max_plus_one": ("1,2\n3,4\n", "9223372036854775808\n2\n"),
+    "labels_on_one_line": ("1,2\n3,4\n", "1,2\n"),
+    "labels_padded": ("1,2\n3,4\n", " 1 \n\n2\r\n"),
+    "label_underscore": ("1,2\n3,4\n", "1_0\n2\n"),
+    "label_arabic_indic_digit": ("1,2\n3,4\n", "\u0661\n2\n"),
+    "label_bom": ("1,2\n3,4\n", "\ufeff1\n2\n"),
+    "label_hash": ("1,2\n3,4\n", "#1\n2\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_cases_match_scanner(tmp_path, case):
+    assert_matches_scanner(tmp_path, *CSV_CASES[case])
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+ODD_CELLS = st.one_of(
+    st.sampled_from(["nan", "-inf", "1e999"]),
+    st.sampled_from(["1e-400", "1_0", "\u0661", '"1"', "#1", "", "0x1"]),
+    st.text(alphabet="0123456789+-.eE_ \t", max_size=6),
+)
+ODD_LABELS = st.sampled_from(
+    ["1.0", "+1", "0", "-1", "99999999999999999999", "1_0", "\u0661", "#1", "1,2", ""]
+)
+PADS = st.sampled_from(["", "", " ", "\t", "\u00a0"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+# At most two kinds of defect per example, so that files with one defect,
+# the ones numpy's reader gets to parse, stay common.
+DEFECTS = st.sets(st.sampled_from([
+    "bom", "trailing_comma", "blank_lines", "ragged", "label_count", "labels_on_one_line",
+    "odd_cell", "odd_label",
+]), max_size=2)
+
+
+def csv_text(draw, rows, defects):
+    """Rows of cell texts as file text: padded cells, blank lines, mixed line ends."""
+    text = "\ufeff" if "bom" in defects and draw(st.booleans()) else ""
+    fillers = ["", " ", "\t"] if "blank_lines" in defects else [""]
+    for cells in rows:
+        text += ",".join(draw(PADS) + cell + draw(PADS) for cell in cells)
+        if "trailing_comma" in defects and draw(st.booleans()):
+            text += ","
+        text += draw(ENDINGS)
+        if draw(st.booleans()):
+            text += draw(st.sampled_from(fillers)) + draw(ENDINGS)
+    return text
+
+
+def with_odd_entry(draw, rows, odd):
+    """``rows`` with one entry replaced by a draw from ``odd``."""
+    if rows and rows[0]:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(odd)
+    return rows
+
+
+@st.composite
+def csv_pairs(draw):
+    """Feature and label file texts, well-formed or carrying a few defects."""
+    defects = draw(DEFECTS)
+    n = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 3))
+    widths = [draw(st.integers(1, 3)) if "ragged" in defects else width for _ in range(n)]
+    rows = [draw(st.lists(NUMBERS, min_size=w, max_size=w)) for w in widths]
+    label_count = draw(st.integers(0, 5)) if "label_count" in defects else n
+    labels = [str(draw(st.integers(1, 4))) for _ in range(label_count)]
+    label_rows = [labels] if "labels_on_one_line" in defects else [[label] for label in labels]
+    if "odd_cell" in defects:
+        rows = with_odd_entry(draw, rows, ODD_CELLS)
+    if "odd_label" in defects:
+        label_rows = with_odd_entry(draw, label_rows, ODD_LABELS)
+    return csv_text(draw, rows, defects), csv_text(draw, label_rows, defects)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_pairs())
+def test_csv_matches_scanner(pair):
+    with tempfile.TemporaryDirectory() as directory:
+        assert_matches_scanner(directory, *pair)
+
+
+def test_well_formed_files_skip_the_scanner(tmp_path, capsys, monkeypatch):
+    # A numpy release that warns inside loadtxt would send every file to the
+    # slow scanner without changing any result; only a spy sees that.
+    scanned = []
+    scan = dataset._scan_view
+    monkeypatch.setattr(dataset, "_scan_view", lambda *paths: scanned.append(paths) or scan(*paths))
+    rng = np.random.default_rng(45)
+    view = View(rng.normal(size=(2000, 20)), rng.integers(1, 5, size=2000))
+    write_view_csv(view, tmp_path / "f.csv", tmp_path / "l.csv")
+    back = load_view_csv(tmp_path / "f.csv", tmp_path / "l.csv")
+    assert np.array_equal(back.features, view.features)
+    assert np.array_equal(back.labels, view.labels)
+    assert main(["gen", "--out-dir", str(tmp_path / "gen")]) == 0
+    capsys.readouterr()
+    for i in (1, 2):
+        load_view_csv(tmp_path / "gen" / f"view{i}_features.csv",
+                      tmp_path / "gen" / f"view{i}_labels.csv")
+    assert scanned == []
 
 
 class TestSplit:

@@ -1,6 +1,7 @@
 """Out-of-sample network tests: activations, training, fidelity, JSON."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,42 @@ class TestEmbedPredict:
             manual.append(best.min() + 1)
         assert np.array_equal(predict(model, x[:4]), manual)
         assert np.array_equal(ranked[:, 0] + 1, manual)
+
+
+class TestBlockedPredict:
+    @pytest.fixture(scope="class")
+    def model(self):
+        x, targets, labels, c = small_problem(seed=12, n_per=40, classes=4, d=20, dim=8)
+        return train(x, targets, labels, c)
+
+    def test_blocks_equal_one_full_argmax(self, model):
+        x = np.random.default_rng(13).normal(size=(2 * mhon.PREDICT_BLOCK_ROWS + 17, 20))
+        full = np.argmax(decision_values(model, x), axis=1).astype(np.int64) + 1
+        got = predict(model, x)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, full)
+
+    def test_zero_rows_give_empty_labels(self, model):
+        got = predict(model, np.zeros((0, 20)))
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(5000, 7), (5000,), (3, 21)])
+    def test_bad_shape_names_the_whole_input(self, model, shape):
+        with pytest.raises(DimMismatchError) as err:
+            predict(model, np.zeros(shape))
+        assert str(err.value) == f"model expects 20 features, got shape {shape}"
+
+    def test_peak_memory_bounded_by_block(self, model):
+        # One 20000-row pass would hold several 20000 x h2 float arrays at once,
+        # about 83 MB; a 4096-row block keeps the peak near 17 MB.
+        x = np.random.default_rng(14).normal(size=(20000, 20))
+        tracemalloc.start()
+        try:
+            predict(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 
 class TestFidelityProperties:
