@@ -5,8 +5,9 @@ count vectors, a joint heat-kernel graph couples all samples of all views,
 and a generalized eigensolve yields one embedding whose row blocks map back
 to the views. A two-stage random-feature network (`mhon`) extends the
 embedding to unseen samples and classifies them; `baselines` holds the
-linear comparison methods and the shared ELM classifier, and `bench` the
-repeated split/fit/score protocol. The command line lives in `mvle.cli`
+linear comparison methods and the one random-feature layer that the ELM
+classifier and both MHON stages are, and `bench` the repeated
+split/fit/score protocol. The command line lives in `mvle.cli`
 (``python -m mvle``), which is not imported here.
 """
 

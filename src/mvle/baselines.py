@@ -5,10 +5,13 @@ whose ``transform`` applies the per-view projection matrix. The fits take
 features as given, already z-scored by the caller, and center internally
 only where the underlying covariances require it.
 
-The ELM (a random sigmoid layer with a ridge-solved readout onto one-hot
-labels) is the one random-feature ridge classifier of the package: the
-benchmark scores every representation with it, and it is the second stage
-of the MHON network (:mod:`mvle.mhon`).
+:class:`ElmClassifier` is the package's one random-feature layer: a fixed
+random hidden layer whose linear readout is ridge-solved onto targets.
+:func:`fit_layer` draws and solves one, and :func:`layer_output` applies it.
+The ELM classifier (:func:`elm_train`) is such a layer of sigmoid units
+fitted onto one-hot labels; the benchmark scores every representation with
+it. The MHON network (:mod:`mvle.mhon`) fits one onto the embedding as its
+guide layer and trains the ELM on the guided coordinates as its head.
 """
 
 from __future__ import annotations
@@ -362,13 +365,45 @@ def one_hot(labels, class_count: int) -> np.ndarray:
     return targets
 
 
+def _softsign(x: np.ndarray) -> np.ndarray:
+    return x / (1.0 + np.abs(x))
+
+
+#: Hidden-layer activations selectable by name. The ELM uses sigmoid; MHON's
+#: guide layer takes ``MhonHyper.activation``, softsign by default.
+ACTIVATIONS = {
+    "softsign": _softsign,
+    "sigmoid": expit,
+    "tanh": np.tanh,
+}
+
+
 @dataclass(frozen=True)
 class ElmClassifier:
-    """Single random sigmoid layer ``(a, b)`` with a ridge-solved linear readout."""
+    """One random hidden layer ``activation(x @ a + b)`` with a ridge-solved
+    linear readout ``beta``; ``activation`` names an :data:`ACTIVATIONS` entry."""
 
     a: np.ndarray
     b: np.ndarray
     beta: np.ndarray
+    activation: str
+
+
+def fit_layer(
+    x: np.ndarray, targets: np.ndarray, hidden: int, ridge_lambda: float,
+    rng: np.random.Generator, activation: str,
+) -> ElmClassifier:
+    """Draw ``a`` then ``b`` from uniform(-1, 1) on ``rng``, and ridge-solve
+    the readout of the hidden layer onto ``targets``."""
+    a = rng.uniform(-1.0, 1.0, size=(x.shape[1], hidden))
+    b = rng.uniform(-1.0, 1.0, size=hidden)
+    h = ACTIVATIONS[activation](x @ a + b)
+    return ElmClassifier(a, b, ridge_solve(h, targets, ridge_lambda), activation)
+
+
+def layer_output(layer: ElmClassifier, x: np.ndarray) -> np.ndarray:
+    """``activation(x @ a + b) @ beta``."""
+    return ACTIVATIONS[layer.activation](x @ layer.a + layer.b) @ layer.beta
 
 
 def elm_train(
@@ -379,7 +414,8 @@ def elm_train(
     ridge_lambda: float = 1e-2,
     seed: int | np.random.Generator = 0,
 ) -> ElmClassifier:
-    """Train the classifier on any feature representation.
+    """Train the classifier on any feature representation: a sigmoid layer
+    fitted onto ``one_hot(labels)``.
 
     ``a`` then ``b`` are drawn from uniform(-1, 1) on ``default_rng(seed)``;
     a ``Generator`` passed as ``seed`` is drawn from as it stands.
@@ -392,23 +428,16 @@ def elm_train(
         )
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, size=(xm.shape[1], hidden))
-    b = rng.uniform(-1.0, 1.0, size=hidden)
-    h = expit(xm @ a + b)
-    return ElmClassifier(a=a, b=b, beta=ridge_solve(h, one_hot(lab, class_count), ridge_lambda))
-
-
-def elm_scores(clf: ElmClassifier, x) -> np.ndarray:
-    """Per-class scores ``expit(x @ a + b) @ beta``."""
-    return expit(x @ clf.a + clf.b) @ clf.beta
+    return fit_layer(xm, one_hot(lab, class_count), hidden, ridge_lambda,
+                     np.random.default_rng(seed), "sigmoid")
 
 
 def elm_predict(clf: ElmClassifier, x) -> np.ndarray:
-    """Predicted 1-based labels; ties resolve to the lowest class id."""
+    """Predicted 1-based labels: the argmax of the layer output; ties
+    resolve to the lowest class id."""
     xm = np.asarray(x, dtype=np.float64)
     if xm.ndim != 2 or xm.shape[1] != clf.a.shape[0]:
         raise DimMismatchError(
             f"classifier expects {clf.a.shape[0]} features, got shape {xm.shape}"
         )
-    return np.argmax(elm_scores(clf, xm), axis=1).astype(np.int64) + 1
+    return np.argmax(layer_output(clf, xm), axis=1).astype(np.int64) + 1

@@ -32,16 +32,6 @@ class BonMatrix:
     def class_count(self) -> int:
         return self.counts.shape[1]
 
-    def label_set(self, i: int) -> set[int]:
-        """Classes (1-based) that appear among sample ``i``'s neighbors."""
-        return {int(t) + 1 for t in np.flatnonzero(self.counts[i] > 0)}
-
-
-def pairwise_distance(x, a: int, b: int) -> float:
-    """Euclidean distance between rows ``a`` and ``b`` of ``x``."""
-    m = np.asarray(x, dtype=np.float64)
-    return float(np.linalg.norm(m[a] - m[b]))
-
 
 def knn(x, k: int) -> np.ndarray:
     """Indices of the K nearest neighbors of every row of ``x``, nearest

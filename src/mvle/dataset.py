@@ -171,7 +171,7 @@ def load_view_csv(features_path, labels_path) -> View:
     NonNumericCellError
         If a cell does not parse as a finite number.
     LabelOutOfRangeError
-        If a label line is not an integer >= 1.
+        If a label line is not an integer from 1 to the int64 maximum.
     LengthMismatchError
         If the two files disagree on row count.
     OSError
@@ -210,6 +210,10 @@ def _loadtxt_view(features_path, labels_path) -> View | None:
     return View(features=features, labels=labels[:, 0])
 
 
+# Labels are held as int64.
+_LABEL_MAX = int(np.iinfo(np.int64).max)
+
+
 def _scan_view(features_path, labels_path) -> View:
     """Parse a pair line by line, raising :func:`load_view_csv`'s errors."""
     rows: list[list[float]] = []
@@ -245,8 +249,10 @@ def _scan_view(features_path, labels_path) -> View:
             raise LabelOutOfRangeError(
                 f"{labels_path}: line {line_no}: {line!r} is not an integer label"
             ) from None
-        if label < 1:
-            raise LabelOutOfRangeError(f"{labels_path}: line {line_no}: label {label} is < 1")
+        if not 1 <= label <= _LABEL_MAX:
+            raise LabelOutOfRangeError(
+                f"{labels_path}: line {line_no}: label {label} is not in 1..{_LABEL_MAX}"
+            )
         labels.append(label)
 
     if len(rows) != len(labels):

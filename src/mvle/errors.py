@@ -15,7 +15,7 @@ class NonSymmetricError(MvleError):
 
 
 class NoConvergenceError(MvleError):
-    """An iterative routine exhausted its iteration budget."""
+    """LAPACK reports an eigendecomposition failed, or PLS extracts no component."""
 
 
 class SingularDegreeError(MvleError):
@@ -23,7 +23,7 @@ class SingularDegreeError(MvleError):
 
 
 class SingularMatrixError(MvleError):
-    """A linear system is rank-deficient and no regularizer was supplied."""
+    """LAPACK finds a ridge system singular despite its required lambda > 0."""
 
 
 class RaggedRowsError(MvleError):

@@ -111,7 +111,7 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     SingularDegreeError
         If any diagonal entry of ``D`` is zero or negative.
     NoConvergenceError
-        If the underlying iteration does not converge.
+        If LAPACK reports the eigendecomposition failed.
     """
     lm = as_matrix(l, "l")
     m = lm.shape[0]

@@ -1,14 +1,16 @@
 """Two-stage random-feature network for out-of-sample embedding and labels.
 
-Stage one maps normalized view features through a fixed random layer and
-ridge-solves a "guiding" readout onto the view's training embedding block,
-so new samples can be dropped into the learned space without rebuilding
-the graph. Stage two standardizes the guided coordinates (their numeric
-scale is an artifact of the eigenvector normalization, not a signal) and
-trains the ELM classifier of :mod:`mvle.baselines` on them: a random sigmoid
-layer with a ridge-solved readout onto one-hot class targets. Both random
-layers draw from uniform(-1, 1) on one seeded stream (a1, b1, then a2, b2),
-so training is fully deterministic given (inputs, hyper).
+Both stages are the random-feature layer of :mod:`mvle.baselines`. The guide
+layer maps normalized view features through a fixed random layer whose
+readout is ridge-solved onto the view's training embedding block, so new
+samples can be dropped into the learned space without rebuilding the graph.
+The head standardizes the guided coordinates (their numeric scale is an
+artifact of the eigenvector normalization, not a signal) and is the ELM
+classifier trained on them: a random sigmoid layer with a ridge-solved
+readout onto one-hot class targets. Both layers draw from uniform(-1, 1) on
+one seeded stream (guide ``a``, ``b``, then head ``a``, ``b``), so training
+is fully deterministic given (inputs, hyper). The model file names these
+arrays ``a1``, ``b1``, ``g`` and ``a2``, ``b2``, ``b_out``.
 """
 
 from __future__ import annotations
@@ -18,25 +20,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
-from .baselines import ElmClassifier, elm_scores, elm_train
+from .baselines import ACTIVATIONS, ElmClassifier, elm_train, fit_layer, layer_output
 from .dataset import MultiViewDataset, NormStats, zscore_apply, zscore_fit
 from .errors import DimMismatchError, LengthMismatchError, ModelFormatError
-from .linalg import ridge_solve
-
-
-def _softsign(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.abs(x))
-
-
-#: First-layer activations selectable by name; the second layer is always
-#: sigmoid. "softsign" is the default rectified-style saturating unit.
-ACTIVATIONS = {
-    "softsign": _softsign,
-    "sigmoid": expit,
-    "tanh": np.tanh,
-}
 
 
 @dataclass(frozen=True)
@@ -66,23 +53,20 @@ class MhonHyper:
 
 @dataclass(frozen=True)
 class MhonModel:
-    """Trained per-view network; all arrays are float64."""
+    """Trained per-view network; all arrays are float64. ``guide`` uses
+    ``hyper.activation`` and ``head`` is the sigmoid ELM."""
 
     view_id: int
     class_count: int
     norm_stats: NormStats
-    a1: np.ndarray
-    b1: np.ndarray
-    g: np.ndarray
+    guide: ElmClassifier
     guide_stats: NormStats
-    a2: np.ndarray
-    b2: np.ndarray
-    b_out: np.ndarray
+    head: ElmClassifier
     hyper: MhonHyper
 
     @property
     def input_dim(self) -> int:
-        return self.a1.shape[0]
+        return self.guide.a.shape[0]
 
 
 def train(
@@ -124,14 +108,10 @@ def train(
     dim = ym.shape[1]
     h1 = hyper.h1 if hyper.h1 is not None else 4 * max(d, dim)
     resolved = replace(hyper, h1=h1)
-    act1 = ACTIVATIONS[resolved.activation]
 
     rng = np.random.default_rng(resolved.seed)
-    a1 = rng.uniform(-1.0, 1.0, size=(d, h1))
-    b1 = rng.uniform(-1.0, 1.0, size=h1)
-    h1_out = act1(xn @ a1 + b1)
-    g = ridge_solve(h1_out, ym, resolved.ridge_lambda)
-    z = h1_out @ g
+    guide = fit_layer(xn, ym, h1, resolved.ridge_lambda, rng, resolved.activation)
+    z = layer_output(guide, xn)
     # The guiding coordinates inherit an arbitrary overall scale from the
     # eigenvector normalization. Rescale by one shared factor (global RMS of
     # the centered block, times sqrt(dim) fan-in so the sigmoid pre-activation
@@ -149,19 +129,7 @@ def train(
         seed=rng,
     )
 
-    return MhonModel(
-        view_id=view_id,
-        class_count=class_count,
-        norm_stats=stats,
-        a1=a1,
-        b1=b1,
-        g=g,
-        guide_stats=guide_stats,
-        a2=head.a,
-        b2=head.b,
-        b_out=head.beta,
-        hyper=resolved,
-    )
+    return MhonModel(view_id, class_count, stats, guide, guide_stats, head, resolved)
 
 
 def train_view(
@@ -201,15 +169,12 @@ def embed(model: MhonModel, x) -> np.ndarray:
     """Out-of-sample embedding: guided coordinates for new raw samples."""
     xm = np.asarray(x, dtype=np.float64)
     _check_width(model, xm)
-    xn = zscore_apply(xm, model.norm_stats)
-    h1_out = ACTIVATIONS[model.hyper.activation](xn @ model.a1 + model.b1)
-    return h1_out @ model.g
+    return layer_output(model.guide, zscore_apply(xm, model.norm_stats))
 
 
 def decision_values(model: MhonModel, x) -> np.ndarray:
     """Per-class scores for new raw samples."""
-    zn = zscore_apply(embed(model, x), model.guide_stats)
-    return elm_scores(ElmClassifier(model.a2, model.b2, model.b_out), zn)
+    return layer_output(model.head, zscore_apply(embed(model, x), model.guide_stats))
 
 
 #: Rows :func:`predict` scores at a time, so its hidden-layer temporaries stay
@@ -250,6 +215,14 @@ def _stats_restore(payload: dict) -> NormStats:
 
 FORMAT_NAME = "mhon-model"
 FORMAT_VERSION = 1
+#: Each layer's "weights" keys in the model file, for its a, b and beta.
+_LAYER_KEYS = {"guide": ("a1", "b1", "g"), "head": ("a2", "b2", "b_out")}
+
+
+def _layer_arrays(model: MhonModel, layer: str) -> dict[str, np.ndarray]:
+    """The arrays of ``model``'s ``layer`` by their model-file keys."""
+    fitted = getattr(model, layer)
+    return dict(zip(_LAYER_KEYS[layer], (fitted.a, fitted.b, fitted.beta)))
 
 
 def to_json(model: MhonModel) -> str:
@@ -269,12 +242,9 @@ def to_json(model: MhonModel) -> str:
         "norm_stats": _stats_payload(model.norm_stats),
         "guide_stats": _stats_payload(model.guide_stats),
         "weights": {
-            "a1": _array_payload(model.a1),
-            "b1": _array_payload(model.b1),
-            "g": _array_payload(model.g),
-            "a2": _array_payload(model.a2),
-            "b2": _array_payload(model.b2),
-            "b_out": _array_payload(model.b_out),
+            key: _array_payload(array)
+            for layer in _LAYER_KEYS
+            for key, array in _layer_arrays(model, layer).items()
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -315,50 +285,52 @@ def _model_from_doc(doc: dict) -> MhonModel:
         seed=doc["hyper"]["seed"],
         activation=doc["activation"],
     )
-    w = doc["weights"]
+    activations = {"guide": hyper.activation, "head": "sigmoid"}
+    layers = {
+        layer: ElmClassifier(*(_array_restore(doc["weights"][key]) for key in keys),
+                             activations[layer])
+        for layer, keys in _LAYER_KEYS.items()
+    }
     model = MhonModel(
         view_id=int(doc["view_id"]),
         class_count=int(doc["class_count"]),
         norm_stats=_stats_restore(doc["norm_stats"]),
-        a1=_array_restore(w["a1"]),
-        b1=_array_restore(w["b1"]),
-        g=_array_restore(w["g"]),
         guide_stats=_stats_restore(doc["guide_stats"]),
-        a2=_array_restore(w["a2"]),
-        b2=_array_restore(w["b2"]),
-        b_out=_array_restore(w["b_out"]),
         hyper=hyper,
+        **layers,
     )
     _check_consistent(model)
     return model
 
 
 def _check_consistent(model: MhonModel) -> None:
-    # Every array's shape follows from d = rows of a1, the hidden widths h1
-    # and h2, dim = columns of g, and the class count.
-    if model.a1.ndim != 2 or model.g.ndim != 2:
+    # Every array's shape follows from d = rows of the guide's a, the hidden
+    # widths h1 and h2, dim = columns of the guide's beta, and the class count.
+    guide = model.guide
+    if guide.a.ndim != 2 or guide.beta.ndim != 2:
+        a_key, _, beta_key = _LAYER_KEYS["guide"]
         raise ModelFormatError(
-            f"a1 and g must be 2-D, got shapes {model.a1.shape} and {model.g.shape}"
+            f"{a_key} and {beta_key} must be 2-D, got shapes "
+            f"{guide.a.shape} and {guide.beta.shape}"
         )
     if model.class_count < 1 or not math.isfinite(model.hyper.ridge_lambda):
         raise ModelFormatError(
             f"class_count must be >= 1 and ridge_lambda finite, got "
             f"{model.class_count} and {model.hyper.ridge_lambda}"
         )
-    d, dim = model.a1.shape[0], model.g.shape[1]
+    d, dim = guide.a.shape[0], guide.beta.shape[1]
     h1, h2, c = model.hyper.h1, model.hyper.h2, model.class_count
     expected = {
         "norm_stats.mean": (model.norm_stats.mean, (d,)),
         "norm_stats.std": (model.norm_stats.std, (d,)),
-        "a1": (model.a1, (d, h1)),
-        "b1": (model.b1, (h1,)),
-        "g": (model.g, (h1, dim)),
         "guide_stats.mean": (model.guide_stats.mean, (dim,)),
         "guide_stats.std": (model.guide_stats.std, (dim,)),
-        "a2": (model.a2, (dim, h2)),
-        "b2": (model.b2, (h2,)),
-        "b_out": (model.b_out, (h2, c)),
     }
+    # (inputs, hidden units, outputs) of each layer
+    for layer, (n_in, hidden, n_out) in (("guide", (d, h1, dim)), ("head", (dim, h2, c))):
+        shapes = ((n_in, hidden), (hidden,), (hidden, n_out))
+        for (key, array), shape in zip(_layer_arrays(model, layer).items(), shapes):
+            expected[key] = (array, shape)
     for name, (array, shape) in expected.items():
         if array.shape != shape:
             raise ModelFormatError(

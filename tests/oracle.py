@@ -7,7 +7,9 @@ smoothness cost literally, so that cell-form results can be checked
 against a route that shares no algebra with them. ``repeated_points`` is a
 data set whose wide fits take within-cell eigenpairs, shared by the
 quotient and benchmark tests. ``nipals_weights`` is the two-block NIPALS
-power iteration that PLS weights are checked against.
+power iteration that PLS weights are checked against. ``pairwise_distance``
+and ``label_set`` restate single entries of the kNN and BON rules, and
+``layer_arrays`` lists a network's weights for comparisons.
 """
 
 from dataclasses import dataclass
@@ -136,3 +138,20 @@ def nipals_weights(x, y, dim: int, max_iter: int = 2000, tol: float = 1e-10):
         wx_list.append(wx)
         wy_list.append(wy)
     return np.column_stack(wx_list), np.column_stack(wy_list)
+
+
+def pairwise_distance(x, a: int, b: int) -> float:
+    """Euclidean distance between rows ``a`` and ``b`` of ``x``."""
+    m = np.asarray(x, dtype=np.float64)
+    return float(np.linalg.norm(m[a] - m[b]))
+
+
+def label_set(bon, i: int) -> set[int]:
+    """Classes (1-based) that appear among sample ``i``'s neighbors in ``bon``."""
+    return {int(t) + 1 for t in np.flatnonzero(bon.counts[i] > 0)}
+
+
+def layer_arrays(model) -> list[np.ndarray]:
+    """``a``, ``b`` and ``beta`` of an MHON model's guide layer, then of its head."""
+    return [getattr(layer, part) for layer in (model.guide, model.head)
+            for part in ("a", "b", "beta")]

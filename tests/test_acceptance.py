@@ -25,7 +25,7 @@ from mvle.errors import DimTooLargeError, IsolatedSampleError
 from mvle.graph import build_weight_graph
 from mvle.linalg import generalized_eig_diag
 from mvle.metrics import s_b, s_w
-from oracle import degree_and_laplacian, dense_graph, objective
+from oracle import degree_and_laplacian, dense_graph, layer_arrays, objective
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 BENCH_FIXTURE = FIXTURE_DIR / "benchmark_pinned.json"
@@ -304,14 +304,12 @@ def test_acceptance_6_out_of_sample_network_contracts(capsys):
             x, targets, labels, 3,
             hyper=mhon.MhonHyper(h1=64, ridge_lambda=1e-8, seed=2),
         )
-        for name in ("a1", "b1", "g", "a2", "b2", "b_out"):
-            assert np.array_equal(getattr(model, name), getattr(again, name))
+        for a, b in zip(layer_arrays(model), layer_arrays(again)):
+            assert np.array_equal(a, b)
 
         # serialization fidelity, 1e-12 relative
         back = mhon.from_json(mhon.to_json(model))
-        for name in ("a1", "b1", "g", "a2", "b2", "b_out"):
-            a = getattr(model, name)
-            b = getattr(back, name)
+        for a, b in zip(layer_arrays(model), layer_arrays(back)):
             scale = np.maximum(np.abs(a), 1e-300)
             assert np.max(np.abs(a - b) / scale) <= 1e-12
 

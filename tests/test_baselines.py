@@ -384,6 +384,19 @@ class TestElm:
         c3 = bl.elm_train(x, labels, class_count=3, seed=6)
         assert not np.array_equal(c1.a, c3.a)
 
+    def test_is_a_sigmoid_layer_fitted_onto_one_hot_labels(self):
+        rng = np.random.default_rng(52)
+        x = rng.normal(size=(20, 3))
+        labels = np.tile([1, 2, 3, 4], 5)
+        clf = bl.elm_train(x, labels, class_count=4, hidden=9, ridge_lambda=0.5, seed=3)
+        want = bl.fit_layer(x, bl.one_hot(labels, 4), 9, 0.5, np.random.default_rng(3), "sigmoid")
+        assert clf.activation == want.activation == "sigmoid"
+        for part in ("a", "b", "beta"):
+            assert np.array_equal(getattr(clf, part), getattr(want, part))
+        out = bl.layer_output(clf, x)
+        assert np.array_equal(out, bl.ACTIVATIONS["sigmoid"](x @ clf.a + clf.b) @ clf.beta)
+        assert np.array_equal(bl.elm_predict(clf, x), np.argmax(out, axis=1) + 1)
+
     def test_dim_mismatch(self):
         rng = np.random.default_rng(51)
         clf = bl.elm_train(rng.normal(size=(10, 4)), np.tile([1, 2], 5), 2)

@@ -222,6 +222,13 @@ def _empty_test_view(data):
     return argv, "ClassTooSmallError", "0.9 leaves no test sample in view 0"
 
 
+def _label_beyond_int64(data):
+    labels = (data / "view1_labels.csv").read_text().splitlines()
+    labels[2] = "99999999999999999999"
+    (data / "view1_labels.csv").write_text("\n".join(labels) + "\n")
+    return ["embed"] + view_flags(data), "LabelOutOfRangeError", "view1_labels.csv: line 3"
+
+
 def _h2_beyond_numpy_shapes(data):
     # numpy rejects the shape before it allocates anything
     return ["train-mhon", "--h2", str(10**30)] + view_flags(data), "ValueError", "dimension"
@@ -231,7 +238,7 @@ def _h2_beyond_numpy_shapes(data):
 # function takes the data dir and returns (argv, error type, text the line holds).
 BAD_INPUTS = {f.__name__.strip("_"): f for f in (
     _empty_features_csv, _non_utf8_features_csv, _non_utf8_config, _empty_test_view,
-    _h2_beyond_numpy_shapes,
+    _h2_beyond_numpy_shapes, _label_beyond_int64,
 )}
 
 

@@ -6,7 +6,7 @@ import pytest
 from mvle.bon import BonMatrix, bon_vectors, knn
 from mvle.errors import ClassCountMismatchError, IsolatedSampleError
 from mvle.graph import build_weight_graph
-from oracle import degree_and_laplacian, dense_graph
+from oracle import degree_and_laplacian, dense_graph, label_set
 
 
 def random_instance(rng, sizes, c, k):
@@ -89,8 +89,8 @@ class TestBuildWeightGraph:
         w = build_weight_graph(bons, labels, t=t).dense()
         counts = np.vstack([b.counts for b in bons])
         stacked = np.concatenate(labels)
-        sets = [bons[0].label_set(a) for a in range(10)]
-        sets += [bons[1].label_set(a) for a in range(8)]
+        sets = [label_set(bons[0], a) for a in range(10)]
+        sets += [label_set(bons[1], a) for a in range(8)]
         for a in range(18):
             for b in range(18):
                 if a == b:

@@ -1,7 +1,9 @@
 """Out-of-sample network tests: activations, training, fidelity, JSON."""
 
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from mvle.embedding import fit
 from mvle.errors import DimMismatchError, LabelOutOfRangeError, LengthMismatchError
 from mvle.baselines import one_hot
 from mvle.mhon import MhonHyper, decision_values, embed, predict, train
+from oracle import layer_arrays
 
 
 def small_problem(seed=0, n_per=10, classes=3, d=6, dim=2, spread=1.0):
@@ -76,18 +79,20 @@ class TestTrain:
         h = MhonHyper(seed=11)
         m1 = train(x, targets, labels, c, hyper=h)
         m2 = train(x, targets, labels, c, hyper=h)
-        for name in ("a1", "b1", "g", "a2", "b2", "b_out"):
-            assert np.array_equal(getattr(m1, name), getattr(m2, name))
+        for got, want in zip(layer_arrays(m1), layer_arrays(m2)):
+            assert np.array_equal(got, want)
         assert np.array_equal(m1.guide_stats.mean, m2.guide_stats.mean)
         assert np.array_equal(m1.guide_stats.std, m2.guide_stats.std)
 
     def test_random_stream_order(self):
-        # a1, b1, a2, b2 are consecutive uniform(-1, 1) draws on one stream
+        # the guide's a, b, then the head's a, b are consecutive uniform(-1, 1)
+        # draws on one stream
         x, targets, labels, c = small_problem(seed=2, d=6, dim=2)
         model = train(x, targets, labels, c, hyper=MhonHyper(h1=7, h2=5, seed=13))
         rng = np.random.default_rng(13)
-        for name, shape in (("a1", (6, 7)), ("b1", (7,)), ("a2", (2, 5)), ("b2", (5,))):
-            assert np.array_equal(getattr(model, name), rng.uniform(-1.0, 1.0, size=shape))
+        for layer, (d, hidden) in ((model.guide, (6, 7)), (model.head, (2, 5))):
+            assert np.array_equal(layer.a, rng.uniform(-1.0, 1.0, size=(d, hidden)))
+            assert np.array_equal(layer.b, rng.uniform(-1.0, 1.0, size=hidden))
 
     def test_train_view_equals_train_on_that_views_data(self):
         ds = gen_synthetic(SyntheticSpec(samples_per_class=15))
@@ -107,8 +112,8 @@ class TestTrain:
             want = train(x, y, labels, ds.class_count, stats, hyper, view_id=view)
             assert got.view_id == want.view_id == view
             assert got.hyper == want.hyper
-            for name in ("a1", "b1", "g", "a2", "b2", "b_out"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+            for got_array, want_array in zip(layer_arrays(got), layer_arrays(want)):
+                assert np.array_equal(got_array, want_array)
             for name in ("norm_stats", "guide_stats"):
                 for part in ("mean", "std"):
                     assert np.array_equal(
@@ -119,7 +124,7 @@ class TestTrain:
         x, targets, labels, c = small_problem(seed=2)
         m1 = train(x, targets, labels, c, hyper=MhonHyper(seed=0))
         m2 = train(x, targets, labels, c, hyper=MhonHyper(seed=1))
-        assert not np.array_equal(m1.a1, m2.a1)
+        assert not np.array_equal(m1.guide.a, m2.guide.a)
 
     def test_training_accuracy_on_synthetic(self):
         # wide embedding + light ridge: the network fits its training set
@@ -156,7 +161,7 @@ class TestTrain:
         x, targets, labels, c = small_problem(d=6, dim=2)
         model = train(x, targets, labels, c)
         assert model.hyper.h1 == 4 * 6
-        assert model.a1.shape == (6, 24)
+        assert model.guide.a.shape == (6, 24)
 
     def test_row_mismatch(self):
         x, targets, labels, c = small_problem()
@@ -228,7 +233,7 @@ class TestEmbedPredict:
         targets = rng.normal(size=(12, 2))
         labels = np.full(12, 1)
         model = train(x, targets, labels, class_count=2)
-        assert np.all(model.b_out[:, 1] == 0.0)
+        assert np.all(model.head.beta[:, 1] == 0.0)
         assert np.all(predict(model, x) == 1)
 
     def test_dim_mismatch(self):
@@ -310,7 +315,7 @@ class TestFidelityProperties:
         norms = []
         for lam in (1e-3, 1.0, 1e3):
             model = train(x, targets, labels, c, hyper=MhonHyper(ridge_lambda=lam, seed=0))
-            norms.append(np.linalg.norm(model.g))
+            norms.append(np.linalg.norm(model.guide.beta))
         assert norms[0] > norms[1] > norms[2]
 
 
@@ -323,8 +328,10 @@ class TestJson:
         assert back.view_id == model.view_id
         assert back.class_count == model.class_count
         assert back.hyper == model.hyper
-        for name in ("a1", "b1", "g", "a2", "b2", "b_out"):
-            assert np.array_equal(getattr(back, name), getattr(model, name))
+        for got, want in zip(layer_arrays(back), layer_arrays(model)):
+            assert np.array_equal(got, want)
+        assert back.guide.activation == model.guide.activation == model.hyper.activation
+        assert back.head.activation == model.head.activation == "sigmoid"
         for stats in ("norm_stats", "guide_stats"):
             assert np.array_equal(getattr(back, stats).mean, getattr(model, stats).mean)
             assert np.array_equal(getattr(back, stats).std, getattr(model, stats).std)
@@ -343,9 +350,29 @@ class TestJson:
         doc = json.loads(mhon.to_json(model))
         assert doc["format"] == mhon.FORMAT_NAME
         assert doc["version"] == mhon.FORMAT_VERSION
-        assert doc["weights"]["a1"]["shape"] == list(model.a1.shape)
+        assert doc["weights"]["a1"]["shape"] == list(model.guide.a.shape)
+        assert doc["weights"]["b_out"]["shape"] == list(model.head.beta.shape)
         assert "guide_stats" in doc and "norm_stats" in doc
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
             mhon.from_json(json.dumps({"format": "something-else", "version": 1}))
+
+
+def test_readme_library_example_runs():
+    # The README's "## Library" block, run as written, pins the documented API.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    ds, model = scope["ds"], scope["model"]
+    n = ds.views[0].n
+    assert scope["coords"].shape == (n, 4)
+    assert scope["labels"].shape == (n,)
+    assert set(scope["labels"]) <= set(range(1, ds.class_count + 1))
+    # "the same network for view 1"
+    for got, want in zip(layer_arrays(scope["same"]), layer_arrays(model)):
+        assert np.array_equal(got, want)
+    assert scope["concat"].view_id == 0
+    assert scope["concat"].input_dim == sum(v.dim for v in ds.views)
