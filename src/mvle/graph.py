@@ -10,10 +10,12 @@ this single rule couples views of different feature dimensions.
 The weight W_ab depends only on the (BON vector, label) pairs of a and b,
 so the samples sharing such a pair form a cell of an equitable partition
 (Godsil & Royle, *Algebraic Graph Theory*, §9.3). :func:`build_weight_graph`
-returns the graph in that form, :class:`CellGraph`: the m distinct cells,
-their sizes c, the cell of every sample, and the m×m weights Wq between
-cells (diagonal entry w_qq: the weight between two samples of cell q). The
-spectrum of ``L y = λ D y`` is then the union of
+returns the graph in that form, :class:`CellGraph`: the m distinct cells
+(their BON counts and labels), their sizes c, the cell of every sample, the
+weight w_qq between two samples of the same cell q, and the degrees. The
+m×m weights Wq between cells are not stored: they are recomputed from the
+cells, block by block, wherever they are needed. The spectrum of
+``L y = λ D y`` is then the union of
 
 - the m eigenvalues of the quotient problem ``Lq z = λ Dq z`` from
   :meth:`CellGraph.quotient`, whose eigenvectors are constant on cells,
@@ -23,7 +25,10 @@ spectrum of ``L y = λ D y`` is then the union of
   d_q on the whole cell, so any orthonormal zero-sum basis of the cell,
   scaled by d_q^(-1/2), is a D-orthonormal eigenbasis.
 
-Only :meth:`CellGraph.dense` builds an N×N array, the weight matrix.
+Building the graph makes Wq once, to sum the degrees, and drops it;
+:meth:`CellGraph.quotient` makes it again in place of ``Lq``, its one m×m
+array. Neither step makes another m×m array. Only :meth:`CellGraph.dense`
+builds an N×N array, the weight matrix.
 """
 
 from __future__ import annotations
@@ -32,25 +37,34 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bon import BonMatrix
 from .errors import ClassCountMismatchError, IsolatedSampleError, LengthMismatchError
+
+
+# Rows of the m×m cell weights computed at a time.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
 class CellGraph:
     """Joint graph over the distinct (BON vector, label) cells.
 
-    ``sizes[q]`` is the sample count of cell q, ``cell_index[a]`` the cell of
-    sample a, ``wq[q, r]`` the weight between a sample of cell q and another
-    of cell r, and ``cell_degrees[q]`` the degree of every sample of cell q.
+    ``counts[q]`` and ``cell_labels[q]`` are the BON vector and the label of
+    cell q, ``sizes[q]`` its sample count, ``cell_index[a]`` the cell of
+    sample a, ``self_weights[q]`` the weight w_qq between two samples of
+    cell q, ``cell_degrees[q]`` the degree of every sample of cell q, and
+    ``t`` the heat-kernel bandwidth. No m×m array is kept: the weights
+    between cells are recomputed from the cells where they are needed.
     """
 
+    counts: np.ndarray
+    cell_labels: np.ndarray
     sizes: np.ndarray
     cell_index: np.ndarray
-    wq: np.ndarray
+    self_weights: np.ndarray
     cell_degrees: np.ndarray
+    t: float
     block_offsets: tuple[int, ...]
 
     @property
@@ -72,20 +86,55 @@ class CellGraph:
         ``Lq = diag(c⊙(dq+wqq)) - C·Wq·C`` and ``Dq = c⊙dq``. Edges within a
         cell cancel in ``Lq``, so it is built as the Laplacian of ``C·Wq·C``
         with its diagonal dropped, which is the same matrix without the
-        cancellation.
+        cancellation. ``Lq`` is the one m×m array built: the weights are
+        written into it block by block and scaled there.
         """
         sizes = self.sizes.astype(np.float64)
-        lq = np.multiply.outer(-sizes, sizes)
-        lq *= self.wq
+        lq = _cell_weights(self.counts, self.cell_labels, self.t)
+        for i in range(0, self.m, _BLOCK):
+            lq[i : i + _BLOCK] *= np.multiply.outer(-sizes[i : i + _BLOCK], sizes)
         np.fill_diagonal(lq, 0.0)
         np.fill_diagonal(lq, -lq.sum(axis=1))
         return lq, self.sizes * self.cell_degrees
 
     def dense(self) -> np.ndarray:
-        """The N×N weight matrix, entry for entry the weights the cells stand for."""
-        w = self.wq[np.ix_(self.cell_index, self.cell_index)]
+        """The N×N weight matrix, entry for entry the weights the cells stand
+        for, recomputed from the cells."""
+        wq = _cell_weights(self.counts, self.cell_labels, self.t)
+        w = wq[np.ix_(self.cell_index, self.cell_index)]
         np.fill_diagonal(w, 0.0)
         return w
+
+
+def _cell_weights(counts: np.ndarray, cell_labels: np.ndarray, t: float) -> np.ndarray:
+    """The m×m cell weights Wq, in one new array, built a block of rows at a
+    time without m×m temporaries.
+
+    BON counts are integers, so ``2 a·b - |a|^2 - |b|^2`` is computed exactly
+    and equals ``-cdist(counts, counts, "sqeuclidean")``; the connection
+    rule enters as two exact 0/1 factors. The result has the bits of
+    ``np.where(connected, np.exp(-cdist(counts, counts, "sqeuclidean") / t), 0.0)``.
+    """
+    m, c = counts.shape
+    w = np.empty((m, m))
+    squares = np.einsum("ij,ij->i", counts, counts)
+    twice = 2.0 * counts
+    has_class = (counts > 0).astype(np.float64)
+    of_class = np.zeros((m, c))
+    of_class[np.arange(m), cell_labels - 1] = 1.0
+    for i in range(0, m, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        block = w[rows]
+        np.matmul(twice[rows], counts.T, out=block)
+        block -= squares[rows, None]
+        block -= squares
+        block /= t
+        np.exp(block, out=block)
+        # Cells q and r are connected when each one's class occurs among the
+        # other's neighbors.
+        block *= has_class[rows] @ of_class.T
+        block *= of_class[rows] @ has_class.T
+    return w
 
 
 def _require_edges(degrees: np.ndarray) -> None:
@@ -151,25 +200,24 @@ def build_weight_graph(
         keyed, axis=0, return_inverse=True, return_counts=True
     )
     counts = cells[:, :-1].astype(np.float64)
-
-    # has_label[q, r]: does r's class occur among q's neighbors?
-    presence = counts > 0
-    has_label = presence[:, cells[:, -1].astype(np.int64) - 1]
-    connected = has_label & has_label.T
-    wq = np.where(connected, np.exp(-cdist(counts, counts, "sqeuclidean") / t), 0.0)
+    cell_labels = cells[:, -1].astype(np.int64)
 
     # d_q = sum over the other cells r of c_r w_qr, plus (c_q - 1) w_qq;
-    # summed without the diagonal, so no term cancels another.
+    # summed without the diagonal, so no term cancels another. Wq is freed
+    # on return; the graph keeps only its diagonal.
+    wq = _cell_weights(counts, cell_labels, t)
     self_w = np.diagonal(wq).copy()
     np.fill_diagonal(wq, 0.0)
     cell_degrees = wq @ sizes + (sizes - 1) * self_w
-    np.fill_diagonal(wq, self_w)
     cell_index = cell_index.reshape(-1)
     _require_edges(cell_degrees[cell_index])
     return CellGraph(
+        counts=counts,
+        cell_labels=cell_labels,
         sizes=sizes,
         cell_index=cell_index,
-        wq=wq,
+        self_weights=self_w,
         cell_degrees=cell_degrees,
+        t=float(t),
         block_offsets=offsets,
     )

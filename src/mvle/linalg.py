@@ -98,6 +98,12 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     roundoff-level asymmetry cannot leak into the result. The eigenvectors
     are mapped back so that ``Y^T D Y = I``.
 
+    The whitening is done in place, so a float64 array ``l`` is overwritten
+    (other input is converted to a new array first); pass a copy to keep
+    it. No other m×m float array is made on the Lanczos path, and a failed
+    certificate restores the whitened matrix bit for bit, so the dense
+    solve that follows needs no copy either.
+
     ``count`` asks for the lowest ``count`` pairs only. On an order of at
     least ``LANCZOS_MIN_ORDER`` they come from certified Lanczos and the
     result holds exactly ``count`` pairs (``solver == "lanczos"``);
@@ -134,14 +140,11 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     inv_sqrt = 1.0 / np.sqrt(dv)
     white, scale = _whiten(lm, inv_sqrt)
     if count is not None and count < m and m >= LANCZOS_MIN_ORDER:
-        # The certificate factors ``white`` in place; a failed one whitens
-        # again, which gives the same bits.
         found = _certified_lanczos(white, count, np.sqrt(dv), scale)
         if found is not None:
             values, vectors = found
             vectors *= inv_sqrt[:, None]
             return EigenResult(values, _fix_signs(vectors), "lanczos")
-        white, _ = _whiten(lm, inv_sqrt)
     try:
         values, vectors = np.linalg.eigh(white)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -153,22 +156,22 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
 
 
 def _whiten(lm: np.ndarray, inv_sqrt: np.ndarray) -> tuple[np.ndarray, float]:
-    """``D^{-1/2} L D^{-1/2}`` averaged with its transpose, and its largest
-    magnitude, in one new array."""
-    white = inv_sqrt[:, None] * lm
-    white *= inv_sqrt
+    """``lm`` overwritten by ``D^{-1/2} L D^{-1/2}`` averaged with its
+    transpose, and the largest magnitude of that matrix."""
+    lm *= inv_sqrt[:, None]
+    lm *= inv_sqrt
     # max and min propagate NaN, so one finite scale means a finite matrix.
-    scale = max(float(white.max()), -float(white.min()))
+    scale = max(float(lm.max()), -float(lm.min()))
     if not np.isfinite(scale):
         raise ValueError("whitened l contains NaN or Inf")
     scale = max(scale, 1e-300)
-    asym = _symmetrize(white)
+    asym = _symmetrize(lm)
     if asym > INPUT_TOL * scale:
         raise NonSymmetricError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e} "
             f"exceeds {INPUT_TOL:.0e} * {scale:.3e}"
         )
-    return white, scale
+    return lm, scale
 
 
 def _symmetrize(a: np.ndarray) -> float:
@@ -204,7 +207,12 @@ def _certified_lanczos(
     Cholesky factorisation succeeds), ``W`` has at most ``count``
     eigenvalues below ``sigma``; the residual bound puts ``count`` of them
     within ``tol`` of the found values. Every eigenvalue left out is then
-    at least ``sigma``. ``white`` is overwritten by the factorisation.
+    at least ``sigma``.
+
+    ``S`` is formed and factored in the lower triangle of ``white`` only.
+    When the certificate holds, ``white`` is left holding the factor; when
+    it fails, the lower triangle is copied back from the untouched upper one
+    and the diagonal restored, so ``white`` holds W again, bit for bit.
     """
     # Imported here: it adds about 30 ms to every start of the program, and
     # only large quotients need it.
@@ -228,12 +236,38 @@ def _certified_lanczos(
         return None
     sigma = values[-1] + 2.0 * max(tol, RESULT_TOL)
     lifted = vectors * (sigma - values + max(scale, 1.0))
+    diagonal = np.diagonal(white).copy()
     white[np.diag_indices_from(white)] -= sigma
-    for i in range(0, white.shape[0], _BLOCK):
-        white[i : i + _BLOCK] += lifted[i : i + _BLOCK] @ vectors.T
-    # ``white.T`` is the Fortran-ordered view LAPACK factors without a copy.
+    for i, j, block in _lower_blocks(white):
+        update = lifted[i : i + _BLOCK] @ vectors[j : j + _BLOCK].T
+        if i == j:
+            below = np.tril_indices(block.shape[0])
+            block[below] += update[below]
+        else:
+            block += update
+    # ``white.T`` is the Fortran-ordered view LAPACK factors without a copy;
+    # its upper triangle is the lower triangle of ``white``.
     _, info = dpotrf(white.T, lower=False, clean=False, overwrite_a=True)
-    return (values, vectors) if info == 0 else None
+    if info == 0:
+        return values, vectors
+    for i, j, block in _lower_blocks(white):
+        mirror = white[j : j + _BLOCK, i : i + _BLOCK].T
+        if i == j:
+            below = np.tril_indices(block.shape[0], -1)
+            block[below] = mirror[below]
+        else:
+            block[...] = mirror
+    white[np.diag_indices_from(white)] = diagonal
+    return None
+
+
+def _lower_blocks(a: np.ndarray):
+    """``(i, j, a[i:i+B, j:j+B])`` for the blocks of square ``a`` on or below
+    the diagonal, B = ``_BLOCK``."""
+    n = a.shape[0]
+    for i in range(0, n, _BLOCK):
+        for j in range(0, i + 1, _BLOCK):
+            yield i, j, a[i : i + _BLOCK, j : j + _BLOCK]
 
 
 def ridge_solve(h, t, lam: float) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The package keeps the joint graph in cell form and never forms N×N
 operators beyond the weight matrix that ``--dump-graph`` writes. Tests
-rebuild the dense degrees and Laplacian from that matrix here, and sum the
+rebuild the dense degrees and Laplacian from that matrix here, recompute
+the m×m cell weights by the plain out-of-place formula, and sum the
 smoothness cost literally, so that cell-form results can be checked
 against a route that shares no algebra with them. ``repeated_points`` is a
 data set whose wide fits take within-cell eigenpairs, shared by the
@@ -56,6 +57,15 @@ def dense_graph(graph: CellGraph) -> WeightGraph:
     return WeightGraph(
         w=w, block_offsets=graph.block_offsets, degrees=degrees, laplacian=laplacian
     )
+
+
+def cell_weights(graph: CellGraph) -> np.ndarray:
+    """The m×m weights between the cells of ``graph``, from the rule in one
+    out-of-place expression."""
+    has_label = (graph.counts > 0)[:, graph.cell_labels - 1]
+    connected = has_label & has_label.T
+    distances = cdist(graph.counts, graph.counts, "sqeuclidean")
+    return np.where(connected, np.exp(-distances / graph.t), 0.0)
 
 
 def objective(y, graph: WeightGraph) -> float:

@@ -141,7 +141,7 @@ def test_acceptance_1_eigensolver_matches_dense_oracle(capsys):
             bons, labels = random_bon_instance(rng, [n1, n2], c, 2)
             w = build_weight_graph(bons, labels, t=float(c)).dense()
             degrees, lap = degree_and_laplacian(w)
-            res = generalized_eig_diag(lap, degrees)
+            res = generalized_eig_diag(lap.copy(), degrees)
             brute = np.sort(np.linalg.eig(np.diag(1.0 / degrees) @ lap)[0].real)
             assert np.max(np.abs(res.values - brute)) < 1e-8
             gram = res.vectors.T @ np.diag(degrees) @ res.vectors

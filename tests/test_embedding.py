@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 from mvle.bon import bon_vectors, knn
-from mvle.dataset import MultiViewDataset, View, zscore_normalize
-from mvle.embedding import Embedding, export_embedding, fit
+from mvle.dataset import (
+    MultiViewDataset,
+    SyntheticSpec,
+    View,
+    gen_synthetic,
+    split,
+    zscore_normalize,
+)
+from mvle.embedding import NEAR_TIE_TOL, Embedding, export_embedding, fit
 from mvle.errors import ClassTooSmallError, DimTooLargeError
 from mvle.graph import build_weight_graph
 from mvle.linalg import generalized_eig_diag
-from oracle import WeightGraph, degree_and_laplacian, dense_graph, objective
+from oracle import WeightGraph, degree_and_laplacian, dense_graph, objective, repeated_points
 
 
 def clustered_dataset(rng, per_class=8, classes=3, dims=(4, 6), spread=1.4):
@@ -146,6 +153,43 @@ class TestFit:
         ds = MultiViewDataset(views=(View(feats, labels),), class_count=2)
         with pytest.warns(UserWarning):
             fit(ds, k=2, dim=2)
+
+    def test_near_tie_at_the_cut_warns(self):
+        # Each class is the one before turned by 90 degrees, which is exact in
+        # float64, so the quotient has pairs of equal eigenvalues; at cuts 1
+        # and 5 roundoff picks one vector of such a pair.
+        rng = np.random.default_rng(2)
+        points = rng.normal(size=(6, 2)) + [3.0, 1.0]
+        turns = [points]
+        for _ in range(3):
+            turns.append(np.column_stack([-turns[-1][:, 1], turns[-1][:, 0]]))
+        labels = np.repeat([1, 2, 3, 4], 6)
+        ds = MultiViewDataset(views=(View(np.vstack(turns), labels),), class_count=4)
+        for dim in (1, 5):
+            with pytest.warns(UserWarning, match=f"eigenvalues {dim} and {dim + 1} "):
+                _, art = fit(ds, k=3, dim=dim)
+            assert art.eigengap < NEAR_TIE_TOL
+        for dim in (2, 3, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, art = fit(ds, k=3, dim=dim)
+            assert art.eigengap > 1e-2
+
+    def test_tie_within_one_cell_does_not_warn(self):
+        # Pairs 3 and 4 are Helmert contrasts of one cell: an exact tie whose
+        # order is the documented choice.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, art = fit(repeated_points(), k=4, dim=3)
+        assert art.eigengap == 0.0
+
+    @pytest.mark.parametrize("split_seed", [0, 7, 23])
+    def test_default_data_does_not_warn(self, split_seed):
+        ds, _ = split(gen_synthetic(SyntheticSpec()), 2.0 / 3.0, split_seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, art = fit(ds, k=10, dim=16)
+        assert art.eigengap > 100 * NEAR_TIE_TOL
 
 
 class TestObjective:

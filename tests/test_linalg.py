@@ -143,7 +143,7 @@ class TestGeneralizedEigDiag:
         rng = np.random.default_rng(21)
         for _ in range(15):
             lap, d = random_laplacian(rng, 15)
-            res = generalized_eig_diag(lap, d)
+            res = generalized_eig_diag(lap.copy(), d)
             brute = np.sort(np.linalg.eig(np.diag(1.0 / d) @ lap)[0].real)
             assert np.max(np.abs(res.values - brute)) < 1e-8
 
@@ -159,7 +159,7 @@ class TestGeneralizedEigDiag:
         rng = np.random.default_rng(23)
         for _ in range(10):
             lap, d = random_laplacian(rng, 10)
-            res = generalized_eig_diag(lap, d)
+            res = generalized_eig_diag(lap.copy(), d)
             scale = np.max(np.abs(lap)) + 1.0
             for j in range(10):
                 resid = lap @ res.vectors[:, j] - res.values[j] * (d * res.vectors[:, j])
@@ -219,7 +219,7 @@ class TestCertifiedLanczos:
         rng = np.random.default_rng(seed)
         n = LANCZOS_MIN_ORDER + extra
         lap, d = random_laplacian(rng, n) if dense_weights else sparse_laplacian(rng, n)
-        got = generalized_eig_diag(lap, d, count=count)
+        got = generalized_eig_diag(lap.copy(), d, count=count)
         want = generalized_eig_diag(lap, d)
         assert got.solver == "lanczos" and want.solver == "dense"
         assert got.values.shape == (count,) and got.vectors.shape == (n, count)
@@ -236,15 +236,15 @@ class TestCertifiedLanczos:
 
     def test_below_threshold_stays_dense(self):
         lap, d = sparse_laplacian(np.random.default_rng(41), LANCZOS_MIN_ORDER - 1)
-        got = generalized_eig_diag(lap, d, count=5)
+        got = generalized_eig_diag(lap.copy(), d, count=5)
         want = generalized_eig_diag(lap, d)
         assert got.solver == "dense"
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)
 
     def assert_falls_back(self, lap, d, count):
-        got = generalized_eig_diag(lap, d, count=count)
-        want = generalized_eig_diag(lap, d)
+        got = generalized_eig_diag(lap.copy(), d, count=count)
+        want = generalized_eig_diag(lap.copy(), d)
         assert got.solver == "dense"
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.vectors, want.vectors)

@@ -9,6 +9,7 @@ two correct solves. A single-column block reduces to comparing the column
 up to sign.
 """
 
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -34,7 +35,7 @@ from mvle.embedding import fit
 from mvle.errors import IsolatedSampleError
 from mvle.graph import CellGraph
 from mvle.linalg import LANCZOS_MIN_ORDER, _fix_signs, generalized_eig_diag
-from oracle import degree_and_laplacian, dense_graph, repeated_points
+from oracle import cell_weights, degree_and_laplacian, dense_graph, repeated_points
 
 EIG_TOL = 1e-10
 # A float64 eigensolver places an eigenspace to about eps * ||A|| / gap (the
@@ -162,7 +163,9 @@ def test_quotient_matches_dense(instance):
 
     # Full spectrum: quotient eigenvalues plus c_q - 1 copies of 1 + w_qq/d_q.
     quotient = generalized_eig_diag(*graph.quotient()).values
-    band = 1.0 + np.diagonal(graph.wq) / graph.cell_degrees
+    self_weights = np.diagonal(cell_weights(graph))
+    assert np.array_equal(graph.self_weights, self_weights)
+    band = 1.0 + self_weights / graph.cell_degrees
     spectrum = np.sort(np.concatenate([quotient, np.repeat(band, graph.sizes - 1)]))
     assert np.max(np.abs(spectrum - dense.values)) < EIG_TOL
     assert np.max(np.abs(emb.eigenvalues - dense.values[1 : dim + 1])) < EIG_TOL
@@ -243,13 +246,14 @@ def test_sign_tie_between_cells_breaks_by_sample_index():
 
 def test_eigensolve_bits_match_the_out_of_place_formulas():
     # The quotient and its dense solve work in place; on a protocol-sized
-    # and a c4-sized quotient they give the bits of the plain formulas.
+    # and a c4-sized quotient they give the bits of the plain formulas, with
+    # the cell weights recomputed out of place.
     for spec in (SyntheticSpec(samples_per_class=150), SyntheticSpec(samples_per_class=500)):
         ds, _ = split(gen_synthetic(spec), 2.0 / 3.0, 7)
         _, art = fit(ds, 10, 8)
         graph = art.graph
         lq, dq = graph.quotient()
-        want = graph.wq * -np.outer(graph.sizes, graph.sizes)
+        want = cell_weights(graph) * -np.outer(graph.sizes, graph.sizes)
         np.fill_diagonal(want, 0.0)
         np.fill_diagonal(want, -want.sum(axis=1))
         assert np.array_equal(lq, want)
@@ -327,4 +331,30 @@ def test_disconnected_large_quotient_warns_as_dense(dim):
     assert want_art.eig_solver == "dense"
     assert got_warn == want_warn and len(got_warn) == 1
     assert "4 near-zero eigenvalues" in got_warn[0]
+    if dim == 1:
+        # The fallback solves the whitened matrix the failed certificate
+        # restored, so it gives the forced dense solve's bits.
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.y, want.y)
     assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < EIG_TOL
+
+
+def test_large_fit_holds_about_one_quotient_array():
+    # c16-style data at N = 4000 gives m of about 2700 cells; the fit builds
+    # the quotient Laplacian as its one m×m array and keeps none of that size.
+    ds = gen_synthetic(SyntheticSpec(class_count=16, samples_per_class=125, noise_sigma=1.0))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _, art = fit(ds, 10, 8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    m = art.graph.m
+    assert ds.n_total == 4000 and art.eig_solver == "lanczos"
+    assert peak <= 1.4 * m * m * 8, peak / (m * m * 8)
+    held = [v.size for v in vars(art.graph).values() if isinstance(v, np.ndarray)]
+    assert max(held) < m * m
