@@ -322,8 +322,13 @@ def mvda_fit(
         If the coupling variant sees views of different widths.
     """
     dims = [v.dim for v in ds.views]
-    # Each view's features sit in its own column block of the stacked space.
-    stacked = scipy.linalg.block_diag(*(v.features for v in ds.views))
+    # Each view's features sit in its own row and column block of the
+    # stacked space, zeros elsewhere.
+    cols = np.cumsum([0] + dims)
+    rows = np.cumsum([0] + [v.n for v in ds.views])
+    stacked = np.zeros((rows[-1], cols[-1]))
+    for v, r, c in zip(ds.views, rows, cols):
+        stacked[r : r + v.n, c : c + v.dim] = v.features
     s_w, s_b = _class_scatters(stacked, np.concatenate([v.labels for v in ds.views]))
     total = s_b.shape[0]
     if dim < 1:

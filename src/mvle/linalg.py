@@ -112,6 +112,9 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
 
     Raises
     ------
+    ValueError
+        If ``l`` is not a nonempty square matrix, or ``l`` or ``d`` holds
+        NaN or Inf.
     NonSymmetricError
         If the symmetry check fails.
     SingularDegreeError
@@ -119,10 +122,12 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     NoConvergenceError
         If LAPACK reports the eigendecomposition failed.
     """
-    lm = as_matrix(l, "l")
+    # No finiteness pass here: ``_whiten`` rejects NaN and Inf without an
+    # m×m temporary.
+    lm = np.asarray(l, dtype=np.float64)
+    if lm.ndim != 2 or lm.size == 0 or lm.shape[0] != lm.shape[1]:
+        raise ValueError(f"l must be a nonempty square matrix, got shape {lm.shape}")
     m = lm.shape[0]
-    if m != lm.shape[1]:
-        raise ValueError(f"l must be square, got shape {lm.shape}")
     dv = np.asarray(d, dtype=np.float64)
     if dv.ndim != 1 or dv.shape[0] != m:
         raise ValueError(

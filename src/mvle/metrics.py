@@ -86,9 +86,10 @@ class EvalReport:
 
     ``s_w``/``s_b`` describe the representation the classifier consumed and
     may be None when a portion is too small to estimate them. ``wall_time``
-    is the seconds spent producing this record: its own classifier work plus
-    an even share of the method's one fit per repeat, split over every
-    (width, view) record that fit serves.
+    is the seconds this record's own scoring took: classifier training,
+    prediction and the held-out representation. ``fit_time`` is the seconds
+    of the method's one fit per repeat that served it, so every (width, view)
+    record of that fit carries the same value.
     """
 
     method: str
@@ -99,6 +100,7 @@ class EvalReport:
     s_w: float | None
     s_b: float | None
     wall_time: float
+    fit_time: float
 
     def __post_init__(self):
         if not 0.0 <= self.accuracy <= 1.0:

@@ -1,5 +1,7 @@
-"""Benchmark engine tests: one fit per (method, repeat), widths as leading columns."""
+"""Benchmark engine tests: one fit per (method, repeat), widths as leading
+columns, and every fit of a pass before any scoring."""
 
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -7,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from mvle import bench, embedding
+from mvle import baselines, bench, embedding, mhon
 from mvle.baselines import cca_lda_fit, mvda_fit, pls_fit
 from mvle.cli import merge_config, run_benchmark
 from mvle.dataset import (
@@ -18,7 +20,8 @@ from mvle.dataset import (
     split,
     zscore_normalize,
 )
-from oracle import repeated_points
+from mvle.metrics import aggregate_reports
+from oracle import interleaved_benchmark, repeated_points
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,48 @@ def test_each_method_fits_once_per_repeat(default_ds, monkeypatch):
     assert order == sorted(order)
     assert len(runs) == 2 * (4 * 4 * 2 + 2)
     assert len(rows) == 4 * 4 * 2 + 2
+
+
+TIMINGS = ("wall_time", "fit_time")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_two_phases_match_the_interleaved_loop(default_ds, seed):
+    cfg = merge_config("benchmark", {}, {"seed": seed, "repeats": 2})
+    rows, runs = run_benchmark(default_ds, cfg)
+    expected = interleaved_benchmark(default_ds, cfg)
+
+    def fields(run):
+        return {k: v for k, v in dataclasses.asdict(run).items() if k not in TIMINGS}
+    assert [fields(r) for r in runs] == [fields(r) for r in expected]
+    assert rows == aggregate_reports(expected)
+    # Every record of one fit carries that fit's time.
+    fit_times = {}
+    for run in runs:
+        assert fit_times.setdefault((run.seed, run.method), run.fit_time) == run.fit_time
+
+
+def test_every_eigensolve_precedes_the_first_training(default_ds, monkeypatch):
+    events = []
+
+    def spy(module, name, event):
+        original = getattr(module, name)
+
+        def logged(*args, **kwargs):
+            events.append(event)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, logged)
+
+    spy(baselines, "_top_generalized", "eigh")
+    spy(bench, "elm_train", "train")
+    spy(mhon, "train_view", "train")
+    cfg = merge_config("benchmark", {}, {"repeats": 3})
+    run_benchmark(default_ds, cfg)
+
+    # CCA+LDA solves twice and MvDA once per repeat.
+    assert events.count("eigh") == 3 * 3
+    last_eigh = len(events) - 1 - events[::-1].index("eigh")
+    assert last_eigh < events.index("train")
 
 
 def test_traced_functions_resolve():

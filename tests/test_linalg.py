@@ -165,6 +165,14 @@ class TestGeneralizedEigDiag:
                 resid = lap @ res.vectors[:, j] - res.values[j] * (d * res.vectors[:, j])
                 assert np.max(np.abs(resid)) < 1e-8 * scale
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_nonfinite_l_rejected(self, bad, where):
+        lap, d = random_laplacian(np.random.default_rng(24), 4)
+        lap[where] = lap[where[::-1]] = bad
+        with pytest.raises(ValueError):
+            generalized_eig_diag(lap, d)
+
     def test_nonpositive_degree_rejected(self):
         lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
         with pytest.raises(SingularDegreeError):

@@ -89,14 +89,14 @@ class TestEvalReport:
     def test_valid(self):
         r = EvalReport(
             method="mvle", view=1, dim=4, seed=7,
-            accuracy=0.5, s_w=1.0, s_b=2.0, wall_time=0.1,
+            accuracy=0.5, s_w=1.0, s_b=2.0, wall_time=0.1, fit_time=0.2,
         )
         assert r.accuracy == 0.5
 
     def test_none_scatters_allowed(self):
         r = EvalReport(
             method="raw", view=2, dim=0, seed=7,
-            accuracy=1.0, s_w=None, s_b=None, wall_time=0.0,
+            accuracy=1.0, s_w=None, s_b=None, wall_time=0.0, fit_time=0.0,
         )
         assert r.s_w is None
 
@@ -104,21 +104,21 @@ class TestEvalReport:
         with pytest.raises(ValueError):
             EvalReport(
                 method="m", view=1, dim=1, seed=0,
-                accuracy=1.5, s_w=None, s_b=None, wall_time=0.0,
+                accuracy=1.5, s_w=None, s_b=None, wall_time=0.0, fit_time=0.0,
             )
 
     def test_negative_scatter_rejected(self):
         with pytest.raises(ValueError):
             EvalReport(
                 method="m", view=1, dim=1, seed=0,
-                accuracy=0.5, s_w=-0.1, s_b=None, wall_time=0.0,
+                accuracy=0.5, s_w=-0.1, s_b=None, wall_time=0.0, fit_time=0.0,
             )
 
 
 def report(method, view, dim, acc, seed=0):
     return EvalReport(
         method=method, view=view, dim=dim, seed=seed,
-        accuracy=acc, s_w=None, s_b=None, wall_time=0.0,
+        accuracy=acc, s_w=None, s_b=None, wall_time=0.0, fit_time=0.0,
     )
 
 
