@@ -115,10 +115,10 @@ def _bool(value, key: str) -> bool:
 
 def _int_list(value, key: str) -> list[int]:
     if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
+        value = [_Text(part) for part in value.split(",") if part.strip()]
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"config key {key!r} must be a nonempty list of integers")
-    return [_positive_int(_Text(v) if isinstance(v, str) else v, key) for v in value]
+    return [_positive_int(v, key) for v in value]
 
 
 _view_dims = _ranged(_int_list, lambda v: len(v) == 2, "a pair D1,D2")

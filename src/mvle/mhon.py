@@ -16,7 +16,7 @@ arrays ``a1``, ``b1``, ``g`` and ``a2``, ``b2``, ``b_out``.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,35 +194,40 @@ def predict(model: MhonModel, x) -> np.ndarray:
     return np.concatenate(labels).astype(np.int64) + 1
 
 
-def _array_payload(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": [float(v) for v in a.ravel()]}
-
-
-def _array_restore(payload: dict) -> np.ndarray:
-    return np.array(payload["data"], dtype=np.float64).reshape(payload["shape"])
-
-
-def _stats_payload(stats: NormStats) -> dict:
-    return {"mean": [float(v) for v in stats.mean], "std": [float(v) for v in stats.std]}
-
-
-def _stats_restore(payload: dict) -> NormStats:
-    return NormStats(
-        mean=np.array(payload["mean"], dtype=np.float64),
-        std=np.array(payload["std"], dtype=np.float64),
-    )
-
-
 FORMAT_NAME = "mhon-model"
 FORMAT_VERSION = 1
-#: Each layer's "weights" keys in the model file, for its a, b and beta.
-_LAYER_KEYS = {"guide": ("a1", "b1", "g"), "head": ("a2", "b2", "b_out")}
+#: The model file, declared once for :func:`to_json`, :func:`from_json` and
+#: its check. Each weight array sits under "weights" as {"shape", "data"};
+#: the table gives its layer, the layer's field and its shape in the sizes
+#: d (view features), h1, dim (embedding width), h2 and c (class count).
+_WEIGHTS = {
+    "a1": ("guide", "a", ("d", "h1")),
+    "b1": ("guide", "b", ("h1",)),
+    "g": ("guide", "beta", ("h1", "dim")),
+    "a2": ("head", "a", ("dim", "h2")),
+    "b2": ("head", "b", ("h2",)),
+    "b_out": ("head", "beta", ("h2", "c")),
+}
+#: Each statistics block holds a "mean" and a "std" list of the length named.
+_STATS = {"norm_stats": "d", "guide_stats": "dim"}
+#: The keys under "hyper"; the activation is a top-level key.
+_HYPER = ("h1", "h2", "ridge_lambda", "seed")
+#: The integer scalars and the least value each may hold.
+_INTS = {"view_id": 0, "class_count": 1, "h1": 1, "h2": 1, "seed": 0}
 
 
-def _layer_arrays(model: MhonModel, layer: str) -> dict[str, np.ndarray]:
-    """The arrays of ``model``'s ``layer`` by their model-file keys."""
-    fitted = getattr(model, layer)
-    return dict(zip(_LAYER_KEYS[layer], (fitted.a, fitted.b, fitted.beta)))
+def _floats(array: np.ndarray) -> list[float]:
+    # JSON writes each float's repr, which reads back to the same float64.
+    return array.ravel().tolist()
+
+
+def _model_arrays(model: MhonModel):
+    """(name, array, shape) of each array in ``model``, weights first."""
+    for key, (layer, field, shape) in _WEIGHTS.items():
+        yield key, getattr(getattr(model, layer), field), shape
+    for block, size in _STATS.items():
+        for field in ("mean", "std"):
+            yield f"{block}.{field}", getattr(getattr(model, block), field), (size,)
 
 
 def to_json(model: MhonModel) -> str:
@@ -233,20 +238,15 @@ def to_json(model: MhonModel) -> str:
         "view_id": model.view_id,
         "class_count": model.class_count,
         "activation": model.hyper.activation,
-        "hyper": {
-            "h1": model.hyper.h1,
-            "h2": model.hyper.h2,
-            "ridge_lambda": model.hyper.ridge_lambda,
-            "seed": model.hyper.seed,
-        },
-        "norm_stats": _stats_payload(model.norm_stats),
-        "guide_stats": _stats_payload(model.guide_stats),
-        "weights": {
-            key: _array_payload(array)
-            for layer in _LAYER_KEYS
-            for key, array in _layer_arrays(model, layer).items()
-        },
+        "hyper": {key: getattr(model.hyper, key) for key in _HYPER},
+        "weights": {},
     }
+    for key, (layer, field, _) in _WEIGHTS.items():
+        array = getattr(getattr(model, layer), field)
+        doc["weights"][key] = {"shape": list(array.shape), "data": _floats(array)}
+    for block in _STATS:
+        stats = getattr(model, block)
+        doc[block] = {"mean": _floats(stats.mean), "std": _floats(stats.std)}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -257,9 +257,11 @@ def from_json(text: str | bytes) -> MhonModel:
     ------
     ModelFormatError
         If ``text`` is not JSON, not a version-1 ``mhon-model`` document,
-        lacks or mistypes one of its fields, holds arrays whose shapes
-        disagree with each other or with ``h1``, ``h2`` and
-        ``class_count``, or holds a NaN or Inf.
+        lacks or mistypes one of its fields, holds a ``view_id`` or ``seed``
+        that is not an integer >= 0, a ``class_count``, ``h1`` or ``h2``
+        that is not an integer >= 1, a ``ridge_lambda`` that is not a finite
+        positive number, arrays whose shapes disagree with each other or
+        with ``h1``, ``h2`` and ``class_count``, or a NaN or Inf.
     """
     try:
         doc = json.loads(text)
@@ -270,72 +272,57 @@ def from_json(text: str | bytes) -> MhonModel:
     if doc.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported {FORMAT_NAME} version {doc.get('version')!r}")
     try:
-        return _model_from_doc(doc)
+        model = _model_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(
             f"malformed {FORMAT_NAME} document: {type(exc).__name__}: {exc}"
         ) from None
-
-
-def _model_from_doc(doc: dict) -> MhonModel:
-    hyper = MhonHyper(
-        h1=doc["hyper"]["h1"],
-        h2=doc["hyper"]["h2"],
-        ridge_lambda=doc["hyper"]["ridge_lambda"],
-        seed=doc["hyper"]["seed"],
-        activation=doc["activation"],
-    )
-    activations = {"guide": hyper.activation, "head": "sigmoid"}
-    layers = {
-        layer: ElmClassifier(*(_array_restore(doc["weights"][key]) for key in keys),
-                             activations[layer])
-        for layer, keys in _LAYER_KEYS.items()
-    }
-    model = MhonModel(
-        view_id=int(doc["view_id"]),
-        class_count=int(doc["class_count"]),
-        norm_stats=_stats_restore(doc["norm_stats"]),
-        guide_stats=_stats_restore(doc["guide_stats"]),
-        hyper=hyper,
-        **layers,
-    )
-    _check_consistent(model)
+    _check_shapes(model)
     return model
 
 
-def _check_consistent(model: MhonModel) -> None:
-    # Every array's shape follows from d = rows of the guide's a, the hidden
-    # widths h1 and h2, dim = columns of the guide's beta, and the class count.
-    guide = model.guide
-    if guide.a.ndim != 2 or guide.beta.ndim != 2:
-        a_key, _, beta_key = _LAYER_KEYS["guide"]
-        raise ModelFormatError(
-            f"{a_key} and {beta_key} must be 2-D, got shapes "
-            f"{guide.a.shape} and {guide.beta.shape}"
-        )
-    if model.class_count < 1 or not math.isfinite(model.hyper.ridge_lambda):
-        raise ModelFormatError(
-            f"class_count must be >= 1 and ridge_lambda finite, got "
-            f"{model.class_count} and {model.hyper.ridge_lambda}"
-        )
-    d, dim = guide.a.shape[0], guide.beta.shape[1]
-    h1, h2, c = model.hyper.h1, model.hyper.h2, model.class_count
-    expected = {
-        "norm_stats.mean": (model.norm_stats.mean, (d,)),
-        "norm_stats.std": (model.norm_stats.std, (d,)),
-        "guide_stats.mean": (model.guide_stats.mean, (dim,)),
-        "guide_stats.std": (model.guide_stats.std, (dim,)),
-    }
-    # (inputs, hidden units, outputs) of each layer
-    for layer, (n_in, hidden, n_out) in (("guide", (d, h1, dim)), ("head", (dim, h2, c))):
-        shapes = ((n_in, hidden), (hidden,), (hidden, n_out))
-        for (key, array), shape in zip(_layer_arrays(model, layer).items(), shapes):
-            expected[key] = (array, shape)
-    for name, (array, shape) in expected.items():
-        if array.shape != shape:
+def _model_from_doc(doc: dict) -> MhonModel:
+    scalars = {"view_id": doc["view_id"], "class_count": doc["class_count"]}
+    scalars.update((key, doc["hyper"][key]) for key in _HYPER)
+    for name, least in _INTS.items():
+        value = scalars[name]
+        # JSON true and false load as bools, which isinstance counts as ints.
+        if type(value) is not int or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    lam = scalars["ridge_lambda"]
+    # A bound, not math.isfinite: a JSON integer can be too large for a float.
+    if type(lam) not in (int, float) or not 0 < lam <= sys.float_info.max:
+        raise ValueError(f"ridge_lambda must be a finite positive number, got {lam!r}")
+    hyper = MhonHyper(**{key: scalars[key] for key in _HYPER}, activation=doc["activation"])
+    layers = {"guide": {"activation": hyper.activation}, "head": {"activation": "sigmoid"}}
+    for key, (layer, field, _) in _WEIGHTS.items():
+        payload = doc["weights"][key]
+        data = np.array(payload["data"], dtype=np.float64)
+        layers[layer][field] = data.reshape(payload["shape"])
+    stats = {}
+    for block in _STATS:
+        mean, std = (np.array(doc[block][key], dtype=np.float64) for key in ("mean", "std"))
+        stats[block] = NormStats(mean, std)
+    return MhonModel(
+        view_id=scalars["view_id"],
+        class_count=scalars["class_count"],
+        hyper=hyper,
+        guide=ElmClassifier(**layers["guide"]),
+        head=ElmClassifier(**layers["head"]),
+        **stats,
+    )
+
+
+def _check_shapes(model: MhonModel) -> None:
+    # d and dim are read off the first arrays that name them (a1's rows and
+    # g's columns); every later array must agree with them.
+    sizes = {"h1": model.hyper.h1, "h2": model.hyper.h2, "c": model.class_count}
+    for name, array, shape in _model_arrays(model):
+        sizes.update((size, n) for size, n in zip(shape, array.shape) if size not in sizes)
+        expected = tuple(sizes.get(size, size) for size in shape)
+        if array.shape != expected:
             raise ModelFormatError(
-                f"{name} has shape {array.shape}, expected {shape} "
-                f"(d={d}, h1={h1}, dim={dim}, h2={h2}, class_count={c})"
+                f"{name} has shape {array.shape}, expected ({', '.join(shape)}) = {expected}"
             )
         if not np.all(np.isfinite(array)):
             raise ModelFormatError(f"{name} contains NaN or Inf")

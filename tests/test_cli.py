@@ -179,6 +179,8 @@ BAD_VALUES = {
     "gen-nonlinearity": (["gen", "--nonlinearity", "foo"], None, "nonlinearity"),
     "train-mhon-mode": (["train-mhon", "--mhon-mode", "x"], None, "mhon_mode"),
     "gen-one-class": (["gen", "--class-count", "1"], None, "class_count"),
+    "config-file-dims-text": (["benchmark"], '{"dims": ["2", "4"]}', "dims"),
+    "config-file-view-dims-text": (["gen"], '{"view_dims": ["8", "6"]}', "view_dims"),
 }
 
 
@@ -527,6 +529,12 @@ MODEL_DEFECTS = {
     "b-out-vs-class-count": lambda doc: doc.update(class_count=doc["class_count"] + 1),
     "nan-in-b-out": lambda doc: doc["weights"]["b_out"]["data"].__setitem__(0, float("nan")),
     "inf-in-norm-stats": lambda doc: doc["norm_stats"]["std"].__setitem__(0, float("inf")),
+    "class-count-fraction": lambda doc: doc.update(class_count=4.7),
+    "view-id-bool": lambda doc: doc.update(view_id=True),
+    "view-id-negative": lambda doc: doc.update(view_id=-3),
+    "seed-text": lambda doc: doc["hyper"].update(seed="abc"),
+    "ridge-lambda-bool": lambda doc: doc["hyper"].update(ridge_lambda=True),
+    "h1-float": lambda doc: doc["hyper"].update(h1=float(doc["hyper"]["h1"])),
 }
 
 
@@ -560,6 +568,7 @@ class TestModelValidation:
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: ModelFormatError:")
+        assert err[0].count("ModelFormatError") == 1
 
 
 def test_python_dash_m_mvle_runs_the_cli():

@@ -354,6 +354,17 @@ class TestJson:
         assert doc["weights"]["b_out"]["shape"] == list(model.head.beta.shape)
         assert "guide_stats" in doc and "norm_stats" in doc
 
+    @pytest.mark.parametrize("activation", ["softsign", "sigmoid", "tanh"])
+    @pytest.mark.parametrize("view", [1, 0], ids=["per-view", "concat"])
+    def test_saved_text_reserializes_to_itself(self, activation, view):
+        ds = gen_synthetic(SyntheticSpec(samples_per_class=12))
+        emb, art = fit(ds, k=6, dim=3)
+        model = mhon.train_view(
+            ds, view, emb.per_view, art.norm_stats, MhonHyper(seed=3, activation=activation)
+        )
+        text = mhon.to_json(model)
+        assert mhon.to_json(mhon.from_json(text)) == text
+
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
             mhon.from_json(json.dumps({"format": "something-else", "version": 1}))
