@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from .dataset import MultiViewDataset
 from .errors import (
@@ -84,6 +82,10 @@ def _top_generalized(numer: np.ndarray, denom: np.ndarray, dim: int) -> np.ndarr
     denom_reg = denom + reg * np.eye(d)
     denom_reg = 0.5 * (denom_reg + denom_reg.T)
     numer = 0.5 * (numer + numer.T)
+    # Imported here, so that only the commands that fit a baseline pay the
+    # 0.3 s that loading SciPy takes.
+    import scipy.linalg
+
     try:
         _, vecs = scipy.linalg.eigh(numer, denom_reg)
     except scipy.linalg.LinAlgError as exc:
@@ -371,14 +373,28 @@ def one_hot(labels, class_count: int) -> np.ndarray:
 
 
 def _softsign(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.abs(x))
+    """``x / (1 + |x|)`` with one temporary."""
+    d = np.abs(x, out=np.empty(np.shape(x)))
+    d += 1.0
+    return np.divide(x, d, out=d)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` with one temporary, the formula of
+    ``scipy.special.expit``. Below x = -709.78, ``exp(-x)`` overflows to inf
+    and the result is exactly 0, as there."""
+    y = np.negative(x, out=np.empty(np.shape(x)))
+    with np.errstate(over="ignore"):
+        np.exp(y, out=y)
+    y += 1.0
+    return np.reciprocal(y, out=y)
 
 
 #: Hidden-layer activations selectable by name. The ELM uses sigmoid; MHON's
 #: guide layer takes ``MhonHyper.activation``, softsign by default.
 ACTIVATIONS = {
     "softsign": _softsign,
-    "sigmoid": expit,
+    "sigmoid": _sigmoid,
     "tanh": np.tanh,
 }
 

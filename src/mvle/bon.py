@@ -12,13 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ClassCountMismatchError, KTooLargeError, LabelOutOfRangeError
 
-# Distance entries computed at a time by ``knn``: its working memory stays
-# near 8 * KNN_CHUNK_ENTRIES bytes whatever the sample count.
-KNN_CHUNK_ENTRIES = 1 << 22
+# Distance entries held at a time by ``knn``: its working memory stays near
+# 8 * KNN_CHUNK_ENTRIES bytes whatever the sample count. Kept small because
+# glibc's malloc, once it has unmapped a block, serves blocks of that size
+# from its heap and keeps up to twice that size resident after they are
+# freed, so a long-running process holds more the larger the block. On
+# 2 vCPUs, 30 s pipeline-c16 benchmark runs peaked at about 183 MB with
+# 1 << 22 entries and at about 158 MB with 1 << 20, which is no slower.
+KNN_CHUNK_ENTRIES = 1 << 20
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -38,31 +43,78 @@ def knn(x, k: int) -> np.ndarray:
     first, by Euclidean distance: an (n, k) integer array.
 
     The sample itself is excluded. Distance ties break deterministically
-    toward the lower row index. Distances are computed a block of rows at a
-    time, so memory grows with ``n``, not ``n**2``.
+    toward the lower row index. The lists equal those of a stable argsort
+    of ``scipy.spatial.distance.cdist(x, x)`` with the diagonal excluded.
+
+    A block of rows at a time, so memory grows with ``n``, not ``n**2``:
+
+    - Filter. Squared distances are ranked by the BLAS expansion
+      ``|a|^2 + |b|^2 - 2 a.b`` of the mean-centred rows. Each of these
+      differs from the squared distance ``cdist`` sums by at most
+      ``E = (d + 4) eps (|a| + R)^2``, with ``R`` the largest centred row
+      norm: the rounding of the centring, of the expansion and of
+      ``cdist``'s own sum. So with ``t`` the row's k-th smallest expanded
+      value, at least k ``cdist`` sums are at most ``t + E``, and every
+      column above ``t + 2E`` has a larger sum than the k-th. The bound
+      ``t + 2E`` is widened by ``8 eps`` relative, so that no sum the final
+      ``sqrt`` rounds to the k-th distance falls outside it either.
+    - Refine. The distances of the columns kept are recomputed as ``cdist``
+      computes them: squared differences summed feature by feature in
+      order, then ``sqrt``. They are bit-equal to ``cdist``'s, and every
+      column at or below the k-th distance is among them, so selecting by
+      (distance, index) among the kept columns gives ``cdist``'s lists.
 
     Raises
     ------
     KTooLargeError
         Unless ``1 <= k <= n - 1``.
+    ValueError
+        If ``x`` holds NaN or Inf, or rows so large their squared norms
+        overflow.
     """
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"need a nonempty 2-D array, got shape {m.shape}")
-    n = m.shape[0]
+    n, d = m.shape
     if not 1 <= k <= n - 1:
         raise KTooLargeError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
+    centred = m - m.mean(axis=0)
+    norms2 = np.einsum("ij,ij->i", centred, centred)
+    if not np.all(np.isfinite(norms2)):
+        raise ValueError("x contains NaN or Inf, or rows too large to square")
+    norms = np.sqrt(norms2)
+    slack = (d + 4) * _EPS * (norms + norms.max()) ** 2
+    features = m.T.copy()
     indices = np.empty((n, k), dtype=np.int64)
     step = max(1, KNN_CHUNK_ENTRIES // n)
+    # ``np.partition`` copies what it partitions, so it takes a sixteenth of
+    # a block at a time.
+    part_rows = max(1, step // 16)
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
-        dist = cdist(m[rows], m)
-        dist[np.arange(rows.size), rows] = np.inf
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-        # Every candidate at or below the k-th distance, ordered by row, then
-        # distance, then index; each row has at least k of them.
-        r, c = np.nonzero(dist <= kth[:, None])
-        order = np.lexsort((c, dist[r, c], r))
+        approx = centred[rows] @ centred.T
+        approx *= -2.0
+        approx += norms2[rows, None]
+        approx += norms2
+        approx[np.arange(rows.size), rows] = np.inf
+        bound = np.empty(rows.size)
+        for i in range(0, rows.size, part_rows):
+            part = np.partition(approx[i : i + part_rows], k - 1, axis=1)
+            bound[i : i + part_rows] = part[:, k - 1]
+        bound += 2.0 * slack[rows]
+        bound *= 1.0 + 8.0 * _EPS
+        r, c = np.nonzero(approx <= bound[:, None])
+        del approx, part  # before the next block is made
+        a = rows[r]
+        dist = np.zeros(r.size)
+        for f in features:
+            diff = f[a] - f[c]
+            diff *= diff
+            dist += diff
+        np.sqrt(dist, out=dist)
+        # Kept columns ordered by row, then distance, then index; each row
+        # has at least k of them.
+        order = np.lexsort((c, dist, r))
         first = np.searchsorted(r, np.arange(rows.size))
         indices[rows] = c[order][first[:, None] + np.arange(k)]
     return indices

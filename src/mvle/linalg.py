@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .errors import (
     NoConvergenceError,
@@ -219,8 +218,10 @@ def _certified_lanczos(
     it fails, the lower triangle is copied back from the untouched upper one
     and the diagonal restored, so ``white`` holds W again, bit for bit.
     """
-    # Imported here: it adds about 30 ms to every start of the program, and
-    # only large quotients need it.
+    # Imported here: loading SciPy's sparse and dense linear algebra takes
+    # about 0.33 s on 2 vCPUs, which only a process that solves a quotient
+    # of order LANCZOS_MIN_ORDER or more pays.
+    from scipy.linalg.lapack import dpotrf
     from scipy.sparse.linalg import ArpackError, eigsh
 
     try:

@@ -1,7 +1,11 @@
 """Neighbor search and bag-of-neighbors tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from mvle import bon as bon_mod
@@ -15,6 +19,40 @@ def argsort_knn(x, k):
     dist = cdist(x, x)
     np.fill_diagonal(dist, np.inf)
     return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+def _ulp_pairs(x, rng):
+    # Every odd row repeats the even row before it, one feature 1 ulp away.
+    x[1::2] = x[: x.shape[0] // 2 * 2 : 2]
+    feature = rng.integers(0, x.shape[1], size=x.shape[0] // 2)
+    odd = np.arange(1, x.shape[0], 2)
+    x[odd, feature] = np.nextafter(x[odd, feature], np.inf)
+    return x
+
+
+# Each maps standard normal data of a seeded generator to a hard case for
+# the expanded-distance filter.
+KNN_DATA = {
+    "normal": lambda x, rng: x,
+    "integer-grid": lambda x, rng: np.round(1.5 * x),
+    "duplicate-rows": lambda x, rng: x[rng.integers(0, max(1, x.shape[0] // 3), x.shape[0])],
+    "offset-1e6": lambda x, rng: x + 1e6,
+    "scaled-1e-6": lambda x, rng: x * 1e-6,
+    "scaled-1e6": lambda x, rng: x * 1e6,
+    "ulp-pairs": _ulp_pairs,
+    "ulp-pairs-offset": lambda x, rng: _ulp_pairs(x + 1e6, rng),
+}
+
+
+@st.composite
+def knn_cases(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = KNN_DATA[draw(st.sampled_from(sorted(KNN_DATA)))](rng.normal(size=(n, d)), rng)
+    k = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    chunk = draw(st.sampled_from([1, 3 * n, 1 << 22]))
+    return x, k, chunk
 
 
 class TestPairwiseDistance:
@@ -117,6 +155,34 @@ class TestKnn:
         for n, d, k in [(40, 1, 5), (60, 2, 9), (33, 3, 32), (50, 2, 1)]:
             x = np.round(rng.normal(scale=1.5, size=(n, d)))
             assert np.array_equal(knn(x, k), argsort_knn(x, k))
+
+    @settings(max_examples=300, deadline=None)
+    @given(knn_cases())
+    def test_matches_cdist_argsort(self, case):
+        # Chunks of one row, of a few rows, and of all rows.
+        x, k, chunk = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bon_mod, "KNN_CHUNK_ENTRIES", chunk)
+            got = knn(x, k)
+        assert np.array_equal(got, argsort_knn(x, k))
+
+    def test_memory_stays_within_the_chunk_budget(self):
+        # A filter that kept whole rows of candidates, or a copy of a whole
+        # block of distances, would pass 1.5 times the budget here.
+        x = np.random.default_rng(69).normal(size=(2000, 8)) + 1e6
+        tracemalloc.start()
+        try:
+            knn(x, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * bon_mod.KNN_CHUNK_ENTRIES
+
+    def test_non_finite_rejected(self):
+        x = np.zeros((4, 2))
+        x[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            knn(x, 2)
 
     def test_k_too_large(self):
         x = np.zeros((4, 2))

@@ -585,6 +585,52 @@ def test_python_dash_m_mvle_runs_the_cli():
     assert "benchmark" in done.stdout
 
 
+def loaded_scipy_modules(script: str) -> list[str]:
+    """Run ``script`` in a fresh interpreter; the SciPy modules loaded at its end."""
+    src = os.path.dirname(os.path.dirname(mvle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    script += (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestStartup:
+    """Fits of quotients below LANCZOS_MIN_ORDER and eval run without SciPy,
+    so no command pays for loading it."""
+
+    def test_setup_probe(self):
+        # The benchmark's set-up probe.
+        assert loaded_scipy_modules(
+            "import mvle.cli\n"
+            "from mvle.dataset import SyntheticSpec, gen_synthetic\n"
+            "from mvle.embedding import fit\n"
+            "fit(gen_synthetic(SyntheticSpec(samples_per_class=8)), k=5, dim=2)\n"
+        ) == []
+
+    def test_commands(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        models = tmp_path / "models"
+        commands = [
+            ["gen"] + SMALL_GEN + ["--out-dir", str(tmp_path / "gen")],
+            ["embed"] + view_flags(data) + ["--k", "6", "--dim", "3",
+                                            "--out-dir", str(tmp_path / "emb")],
+            ["train-mhon"] + view_flags(data) + ["--k", "6", "--dim", "3",
+                                                 "--out-dir", str(models)],
+            ["eval", "--model", str(models / "mhon_view1.json"),
+             "--model", str(models / "mhon_view2.json")] + view_flags(data),
+        ]
+        for argv in commands:
+            script = f"import mvle.cli\nassert mvle.cli.main({argv!r}) == 0\n"
+            assert loaded_scipy_modules(script) == [], argv[0]
+
+
 BENCH_SMALL = [
     "--class-count", "4", "--samples-per-class", "12", "--view-dims", "8,6",
     "--k", "6", "--dims", "2", "--repeats", "1", "--seed", "3",

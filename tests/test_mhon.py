@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,39 @@ class TestActivation:
         hi = np.maximum(pairs[:, 0] + 1e-9, pairs[:, 1])
         assert np.all(f(lo) < f(hi))
         assert np.all(np.abs(f(pairs)) < 1.0)
+
+    def test_softsign_is_the_plain_formula_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        x = np.concatenate([rng.normal(scale=s, size=(50, 40)) for s in (1e-8, 1.0, 1e8)])
+        got = mhon.ACTIVATIONS["softsign"](x)
+        assert np.array_equal(got, x / (1 + np.abs(x)))
+        assert got.dtype == np.float64 and got.shape == x.shape
+
+    def test_sigmoid_within_4_ulp_of_expit(self):
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-750.0, 750.0, 600_001), [-np.inf, np.inf, 0.0, -0.0]])
+        got = mhon.ACTIVATIONS["sigmoid"](x)
+        want = expit(x)
+        # Both lie in [0, 1], where the int64 view of a float counts ulps.
+        ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 4
+        assert got[-4:].tolist() == [0.0, 1.0, 0.5, 0.5]
+
+    def test_sigmoid_nan_and_underflow(self):
+        f = mhon.ACTIVATIONS["sigmoid"]
+        assert np.isnan(f(np.array([np.nan]))).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(np.array([-709.5, -709.9, -745.2, -1e300]))
+        assert got[1:].tolist() == [0.0, 0.0, 0.0]
+
+    def test_sigmoid_leaves_its_input_unchanged(self):
+        x = np.linspace(-5.0, 5.0, 11)
+        keep = x.copy()
+        mhon.ACTIVATIONS["sigmoid"](x)
+        mhon.ACTIVATIONS["softsign"](x)
+        assert np.array_equal(x, keep)
 
     def test_registry_names(self):
         assert set(mhon.ACTIVATIONS) >= {"softsign", "sigmoid", "tanh"}

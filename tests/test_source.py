@@ -94,3 +94,48 @@ def test_scipy_lapack_stays_off_the_scoring_path():
         "baselines.py": {"scipy.linalg"},
         "linalg.py": {"scipy.linalg.lapack", "scipy.sparse.linalg"},
     }
+
+
+def module_level_scipy_imports(source: str) -> list[str]:
+    """The SciPy modules that ``source`` imports outside any function body.
+
+    Imports under ``if``, ``try`` and class bodies run when the module loads,
+    so they count; imports inside functions do not.
+    """
+    def walk(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                yield node.module
+            yield from walk(ast.iter_child_nodes(node))
+
+    names = walk(ast.parse(source).body)
+    return sorted({name for name in names if name == "scipy" or name.startswith("scipy.")})
+
+
+def test_scipy_import_checker_skips_function_bodies():
+    source = (
+        "import numpy as np\n"
+        "import scipy\n"
+        "try:\n"
+        "    from scipy.special import expit\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class A:\n"
+        "    from scipy import linalg\n"
+        "def f():\n"
+        "    from scipy.sparse.linalg import eigsh\n"
+        "    def g():\n"
+        "        import scipy.linalg\n"
+    )
+    assert module_level_scipy_imports(source) == ["scipy", "scipy.special"]
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(mvle.__file__)], ids=lambda path: path.name)
+def test_scipy_is_imported_only_inside_functions(path):
+    # Loading SciPy takes longer than a whole small fit; every command that
+    # runs none of its solvers starts without it.
+    assert module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
