@@ -4,7 +4,7 @@ Each method is fitted once per repeat, at the widest requested width, and
 every width is scored on the leading columns of that fit. A narrower fit
 would return exactly those columns: the embedding eigenvectors do not depend
 on ``dim``, MvDA and the LDA stage of CCA+LDA slice one generalized
-eigensolve, and NIPALS components are greedy. The MHON network and the ELM
+eigensolve, and PLS components are greedy. The MHON network and the ELM
 classifier still train per width (MHON's default ``h1`` depends on ``dim``).
 
 A pass runs in two phases: first every repeat's split and every fit, then

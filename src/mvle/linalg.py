@@ -7,6 +7,12 @@ diagonal metric is reduced to a standard symmetric one by whitening, never
 by forming a nonsymmetric product. A unit diagonal gives the standard
 symmetric eigenproblem.
 
+Symmetry is built, not repaired: the whitening scales entry (i, j) by the
+one product ``d_i^{-1/2} d_j^{-1/2}``, so a symmetric input stays exactly
+symmetric. The package has one symmetry rule, the input check of
+``generalized_eig_diag``: an input asymmetric beyond 1e-10 is rejected, and
+one asymmetric within it is replaced by its average with its transpose.
+
 The full spectrum comes from LAPACK's symmetric driver via
 ``numpy.linalg``. When only the lowest ``count`` pairs are asked for and the
 order is at least ``LANCZOS_MIN_ORDER``, they come from ARPACK's Lanczos
@@ -38,7 +44,9 @@ RESULT_TOL = 1e-8
 # Smallest order solved by Lanczos when fewer than all pairs are asked for.
 # Measured on graph quotients with 2 vCPUs: at order 518 Lanczos saves about
 # 0.025 s, which the slower NumPy BLAS calls after SciPy's BLAS threads wake
-# give back; at 1000 it saves about 0.1 s, and at 2665 it is 4x faster.
+# give back; at 1000 it saves about 0.1 s, and at 2665 it is 4x faster. Those
+# are warm timings: a fresh process also pays 0.2-0.33 s to import SciPy at
+# its first Lanczos solve, more than the saving at order 1000.
 LANCZOS_MIN_ORDER = 1000
 # Rows or columns per block where m×m work is done in pieces.
 _BLOCK = 512
@@ -92,10 +100,12 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     """Solve ``L y = lambda D y`` for symmetric ``L`` and positive diagonal ``D``.
 
     ``d`` is the diagonal as a 1-D vector. The problem is whitened to
-    ``D^{-1/2} L D^{-1/2}``, which must be symmetric within 1e-10 relative
-    to its own largest entry; it is averaged with its transpose so
-    roundoff-level asymmetry cannot leak into the result. The eigenvectors
-    are mapped back so that ``Y^T D Y = I``.
+    ``D^{-1/2} L D^{-1/2}``, which stays exactly symmetric when ``l`` is.
+    This is the package's one symmetry rule: the whitened matrix must be
+    symmetric within 1e-10 relative to its own largest entry, and where it
+    is not exactly symmetric it is averaged with its transpose, so
+    roundoff-level asymmetry of the input cannot leak into the result. The
+    eigenvectors are mapped back so that ``Y^T D Y = I``.
 
     The whitening is done in place, so a float64 array ``l`` is overwritten
     (other input is converted to a new array first); pass a copy to keep
@@ -143,27 +153,34 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
         raise ValueError(f"count must be in [1, {m}], got {count}")
     inv_sqrt = 1.0 / np.sqrt(dv)
     white, scale = _whiten(lm, inv_sqrt)
+    found = None
     if count is not None and count < m and m >= LANCZOS_MIN_ORDER:
         found = _certified_lanczos(white, count, np.sqrt(dv), scale)
-        if found is not None:
-            values, vectors = found
-            vectors *= inv_sqrt[:, None]
-            return EigenResult(values, _fix_signs(vectors), "lanczos")
-    try:
-        values, vectors = np.linalg.eigh(white)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    # The sign convention is applied once, to the mapped-back vectors.
+    solver = "dense" if found is None else "lanczos"
+    if found is None:
+        try:
+            found = np.linalg.eigh(white)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NoConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    values, vectors = found
+    # Both solvers end here: map back, then apply the sign convention once.
     vectors *= inv_sqrt[:, None]
     vectors *= _lead_signs(vectors)
-    return EigenResult(values, vectors, "dense")
+    return EigenResult(values, vectors, solver)
 
 
 def _whiten(lm: np.ndarray, inv_sqrt: np.ndarray) -> tuple[np.ndarray, float]:
-    """``lm`` overwritten by ``D^{-1/2} L D^{-1/2}`` averaged with its
-    transpose, and the largest magnitude of that matrix."""
-    lm *= inv_sqrt[:, None]
-    lm *= inv_sqrt
+    """``lm`` overwritten by ``D^{-1/2} L D^{-1/2}``, and the largest
+    magnitude of that matrix.
+
+    Entry (i, j) is multiplied by ``inv_sqrt[i] * inv_sqrt[j]``, one product
+    whatever the order of i and j, so a symmetric ``lm`` stays exactly
+    symmetric and the check in ``_symmetrize`` only reads it. The products
+    are made a ``_BLOCK``-row piece at a time, no larger than the pieces the
+    quotient is built in.
+    """
+    for i in range(0, lm.shape[0], _BLOCK):
+        lm[i : i + _BLOCK] *= np.multiply.outer(inv_sqrt[i : i + _BLOCK], inv_sqrt)
     # max and min propagate NaN, so one finite scale means a finite matrix.
     scale = max(float(lm.max()), -float(lm.min()))
     if not np.isfinite(scale):
@@ -179,15 +196,22 @@ def _whiten(lm: np.ndarray, inv_sqrt: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _symmetrize(a: np.ndarray) -> float:
-    """Set square ``a`` to ``(a + a^T) / 2`` in place, block by block, and
-    return the largest ``|a - a^T|`` it had. Float addition commutes, so the
-    result is exactly symmetric and equals ``0.5 * (a + a.T)`` bit for bit."""
+    """The largest ``|a - a^T|`` of square ``a``, with ``a`` made symmetric.
+
+    Block pairs are compared first and left untouched when their two
+    triangles are equal, so an exactly symmetric ``a`` is only read. A pair
+    that differs is set to ``(upper + lower) / 2``; float addition commutes,
+    so the result is exactly symmetric and equals ``0.5 * (a + a.T)`` bit
+    for bit.
+    """
     n = a.shape[0]
     asym = 0.0
     for i in range(0, n, _BLOCK):
         for j in range(i, n, _BLOCK):
             upper = a[i : i + _BLOCK, j : j + _BLOCK]
             lower = a[j : j + _BLOCK, i : i + _BLOCK].T
+            if np.array_equal(upper, lower):
+                continue
             asym = max(asym, float(np.abs(upper - lower).max()))
             mean = upper + lower
             mean *= 0.5
@@ -297,20 +321,17 @@ def ridge_solve(h, t, lam: float) -> np.ndarray:
     hm = as_matrix(h, "h")
     tv = np.asarray(t, dtype=np.float64)
     single = tv.ndim == 1
-    tm = tv[:, None] if single else as_matrix(tv, "t")
+    tm = as_matrix(tv[:, None] if single else tv, "t")
     if tm.shape[0] != hm.shape[0]:
         raise ValueError(
             f"h has {hm.shape[0]} rows but t has {tm.shape[0]}"
         )
-    if not np.all(np.isfinite(tm)):
-        raise ValueError("t contains NaN or Inf")
     if not lam > 0:
         raise ValueError(f"lam must be positive, got {lam}")
     n, p = hm.shape
     dual = n < p
     gram = hm @ hm.T if dual else hm.T @ hm
-    gram = 0.5 * (gram + gram.T)
-    gram = gram + lam * np.eye(gram.shape[0])
+    gram[np.diag_indices_from(gram)] += lam
     rhs = tm if dual else hm.T @ tm
     try:
         beta = np.linalg.solve(gram, rhs)

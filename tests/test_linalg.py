@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mvle.errors import NonSymmetricError, SingularDegreeError
-from mvle.linalg import LANCZOS_MIN_ORDER, generalized_eig_diag, ridge_solve
+from mvle.linalg import LANCZOS_MIN_ORDER, _fix_signs, generalized_eig_diag, ridge_solve
 
 
 def unit_metric_eig(a):
@@ -104,11 +104,36 @@ class TestSymEig:
             scale = max(abs(np.trace(a)), 1.0)
             assert abs(res.values.sum() - np.trace(a)) < 1e-8 * scale
 
-    def test_one_ulp_asymmetry_tolerated(self):
+    def test_one_ulp_asymmetry_tolerated(self, monkeypatch):
+        # Within the tolerance, the input is replaced by its average with its
+        # transpose: the dense solve returns that matrix's bits.
         a = random_symmetric(np.random.default_rng(15), 6)
         a[0, 1] += 1e-13
-        res = unit_metric_eig(a)
+        res = unit_metric_eig(a.copy())
         assert res.values.shape == (6,)
+        values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+        assert np.array_equal(res.values, values)
+        assert np.array_equal(res.vectors, _fix_signs(vectors))
+        # Lanczos solves the averaged matrix too, and a failed certificate
+        # restores it for the dense solve that follows.
+        n, count = LANCZOS_MIN_ORDER, 4
+        a, _ = sparse_laplacian(np.random.default_rng(16), n)
+        a[0, 1] += 1e-13
+        values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+        got = generalized_eig_diag(a.copy(), np.ones(n), count=count)
+        assert got.solver == "lanczos"
+        assert np.abs(got.values - values[:count]).max() < 1e-12
+        assert np.abs(got.vectors - _fix_signs(vectors[:, :count])).max() < 1e-12
+
+        def skipping_eigsh(a, k, **kwargs):
+            values, vectors = np.linalg.eigh(a)
+            return values[1 : k + 1], vectors[:, 1 : k + 1]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
+        got = generalized_eig_diag(a.copy(), np.ones(n), count=count)
+        assert got.solver == "dense"
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.vectors, _fix_signs(vectors))
 
     def test_nonsymmetric_rejected(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])

@@ -258,8 +258,9 @@ def test_eigensolve_bits_match_the_out_of_place_formulas():
         np.fill_diagonal(want, -want.sum(axis=1))
         assert np.array_equal(lq, want)
         inv_sqrt = 1.0 / np.sqrt(dq)
-        white = inv_sqrt[:, None] * lq * inv_sqrt[None, :]
-        values, vectors = np.linalg.eigh(0.5 * (white + white.T))
+        white = lq * np.multiply.outer(inv_sqrt, inv_sqrt)
+        assert np.array_equal(white, white.T)
+        values, vectors = np.linalg.eigh(white)
         got = generalized_eig_diag(lq, dq, count=10)
         assert got.solver == "dense" and graph.m < LANCZOS_MIN_ORDER
         assert np.array_equal(got.values, values)

@@ -1,15 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
 
-import mvle
-
-MODULES = sorted(
-    path for path in Path(mvle.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mvle"
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,6 +42,53 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+NON_CODE_TOKENS = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENDMARKER,
+}
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of ``source`` that hold Python tokens.
+
+    Blank lines, comment lines and the docstrings of the module, its classes
+    and its functions are left out; a token that spans lines counts each.
+    """
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NON_CODE_TOKENS:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docs)
+
+
+def test_code_line_counter():
+    source = (
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "class A:\n"
+        "    'Class docstring.'\n"
+        "\n"
+        "    def f(self):\n"
+        '        """Method docstring."""\n'
+        '        text = """a string\n'
+        'that spans lines"""\n'
+        "        return (text,\n"
+        "                os.sep)\n"
+    )
+    assert code_lines(source) == 7
 
 
 LAPACK_ROOTS = ("scipy.linalg", "scipy.sparse.linalg")
@@ -134,8 +180,17 @@ def test_scipy_import_checker_skips_function_bodies():
     assert module_level_scipy_imports(source) == ["scipy", "scipy.special"]
 
 
-@pytest.mark.parametrize("path", MODULES + [Path(mvle.__file__)], ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda path: path.name)
 def test_scipy_is_imported_only_inside_functions(path):
     # Loading SciPy takes longer than a whole small fit; every command that
     # runs none of its solvers starts without it.
     assert module_level_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+if __name__ == "__main__":
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{path.name:16} {count:5}")
+    print(f"{'src/mvle':16} {total:5}")
