@@ -103,7 +103,8 @@ def knn(x, k: int) -> np.ndarray:
             bound[i : i + part_rows] = part[:, k - 1]
         bound += 2.0 * slack[rows]
         bound *= 1.0 + 8.0 * _EPS
-        r, c = np.nonzero(approx <= bound[:, None])
+        # In row-major order, as 2-D ``np.nonzero`` gives them, but faster.
+        r, c = np.divmod(np.flatnonzero(approx <= bound[:, None]), n)
         del approx, part  # before the next block is made
         a = rows[r]
         dist = np.zeros(r.size)

@@ -118,9 +118,11 @@ def fit(
         indices = bon_mod.knn(normalized, k)
         bons.append(bon_mod.bon_vectors(indices, view.labels, ds.class_count))
 
-    graph = build_weight_graph(bons, [v.labels for v in ds.views], heat_t)
+    graph, quotient = build_weight_graph(bons, [v.labels for v in ds.views], heat_t)
     # dim + 2 quotient pairs cover the kept pairs and the one after the cut.
-    eig = generalized_eig_diag(*graph.quotient(), count=min(dim + 2, graph.m))
+    # The solve overwrites Lq, the fit's one m×m array, which is then dropped.
+    eig = generalized_eig_diag(*quotient, count=min(dim + 2, graph.m))
+    del quotient
     # Within-cell eigenvalues are at least 1, and any quotient eigenvalue the
     # solve left out is at least 2e-8, so the count covers the spectrum.
     near_zero = int(np.count_nonzero(eig.values < ZERO_EIGENVALUE_TOL))

@@ -13,22 +13,22 @@ so the samples sharing such a pair form a cell of an equitable partition
 returns the graph in that form, :class:`CellGraph`: the m distinct cells
 (their BON counts and labels), their sizes c, the cell of every sample, the
 weight w_qq between two samples of the same cell q, and the degrees. The
-m×m weights Wq between cells are not stored: they are recomputed from the
-cells, block by block, wherever they are needed. The spectrum of
+m×m weights Wq between cells are not stored in it. The spectrum of
 ``L y = λ D y`` is then the union of
 
-- the m eigenvalues of the quotient problem ``Lq z = λ Dq z`` from
-  :meth:`CellGraph.quotient`, whose eigenvectors are constant on cells,
+- the m eigenvalues of the quotient problem ``Lq z = λ Dq z``, whose
+  eigenvectors are constant on cells,
   ``y = z[cell_index]``, with ``Y^T D Y = Z^T Dq Z``;
 - the within-cell eigenvalues ``1 + w_qq / d_q``, c_q - 1 of them for each
   cell q, whose eigenvectors live on one cell and sum to zero there. D is
   d_q on the whole cell, so any orthonormal zero-sum basis of the cell,
   scaled by d_q^(-1/2), is a D-orthonormal eigenbasis.
 
-Building the graph makes Wq once, to sum the degrees, and drops it;
-:meth:`CellGraph.quotient` makes it again in place of ``Lq``, its one m×m
-array. Neither step makes another m×m array. Only :meth:`CellGraph.dense`
-builds an N×N array, the weight matrix.
+Building the graph evaluates Wq once: it sums the degrees from that array
+and then overwrites it with ``Lq``, the one m×m array it returns beside the
+graph. :meth:`CellGraph.quotient` and :meth:`CellGraph.dense` recompute Wq
+from the cells; only :meth:`CellGraph.dense` builds an N×N array, the
+weight matrix.
 """
 
 from __future__ import annotations
@@ -81,21 +81,11 @@ class CellGraph:
         return tuple(slice(bounds[i], bounds[i + 1]) for i in range(len(self.block_offsets)))
 
     def quotient(self) -> tuple[np.ndarray, np.ndarray]:
-        """Laplacian and diagonal metric of the m×m quotient problem.
-
-        ``Lq = diag(c⊙(dq+wqq)) - C·Wq·C`` and ``Dq = c⊙dq``. Edges within a
-        cell cancel in ``Lq``, so it is built as the Laplacian of ``C·Wq·C``
-        with its diagonal dropped, which is the same matrix without the
-        cancellation. ``Lq`` is the one m×m array built: the weights are
-        written into it block by block and scaled there.
-        """
-        sizes = self.sizes.astype(np.float64)
+        """Laplacian and diagonal metric of the m×m quotient problem,
+        recomputed from the cells: the ``Lq`` and ``Dq`` that
+        :func:`build_weight_graph` returns, bit for bit (see there)."""
         lq = _cell_weights(self.counts, self.cell_labels, self.t)
-        for i in range(0, self.m, _BLOCK):
-            lq[i : i + _BLOCK] *= np.multiply.outer(-sizes[i : i + _BLOCK], sizes)
-        np.fill_diagonal(lq, 0.0)
-        np.fill_diagonal(lq, -lq.sum(axis=1))
-        return lq, self.sizes * self.cell_degrees
+        return _laplacian_in_place(lq, self.sizes), self.sizes * self.cell_degrees
 
     def dense(self) -> np.ndarray:
         """The N×N weight matrix, entry for entry the weights the cells stand
@@ -137,6 +127,22 @@ def _cell_weights(counts: np.ndarray, cell_labels: np.ndarray, t: float) -> np.n
     return w
 
 
+def _laplacian_in_place(w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Cell weights ``w`` overwritten by the quotient Laplacian
+    ``Lq = diag(c⊙(dq+wqq)) - C·Wq·C``.
+
+    Edges within a cell cancel in ``Lq``, so it is built as the Laplacian of
+    ``C·Wq·C`` with its diagonal dropped, which is the same matrix without
+    the cancellation; the diagonal of ``w`` is not read.
+    """
+    sizes = sizes.astype(np.float64)
+    for i in range(0, w.shape[0], _BLOCK):
+        w[i : i + _BLOCK] *= np.multiply.outer(-sizes[i : i + _BLOCK], sizes)
+    np.fill_diagonal(w, 0.0)
+    np.fill_diagonal(w, -w.sum(axis=1))
+    return w
+
+
 def _require_edges(degrees: np.ndarray) -> None:
     isolated = np.flatnonzero(degrees == 0.0)
     if isolated.size:
@@ -148,8 +154,14 @@ def _require_edges(degrees: np.ndarray) -> None:
 
 def build_weight_graph(
     bons: Sequence[BonMatrix], labels: Sequence, t: float
-) -> CellGraph:
-    """Assemble the joint weight graph, in cell form, from per-view BON matrices.
+) -> tuple[CellGraph, tuple[np.ndarray, np.ndarray]]:
+    """Assemble the joint weight graph, in cell form, from per-view BON
+    matrices, with its quotient problem ``(Lq, Dq)``, ``Dq = c⊙dq``.
+
+    The m×m cell weights are evaluated once: their row sums give the
+    degrees, and the same array is then overwritten by ``Lq``, the one m×m
+    array returned. The graph keeps no m×m array; ``Lq`` and ``Dq`` equal
+    what :meth:`CellGraph.quotient` recomputes, bit for bit.
 
     Parameters
     ----------
@@ -203,15 +215,15 @@ def build_weight_graph(
     cell_labels = cells[:, -1].astype(np.int64)
 
     # d_q = sum over the other cells r of c_r w_qr, plus (c_q - 1) w_qq;
-    # summed without the diagonal, so no term cancels another. Wq is freed
-    # on return; the graph keeps only its diagonal.
-    wq = _cell_weights(counts, cell_labels, t)
-    self_w = np.diagonal(wq).copy()
-    np.fill_diagonal(wq, 0.0)
-    cell_degrees = wq @ sizes + (sizes - 1) * self_w
+    # summed without the diagonal, so no term cancels another. The same
+    # array then becomes Lq.
+    lq = _cell_weights(counts, cell_labels, t)
+    self_w = np.diagonal(lq).copy()
+    np.fill_diagonal(lq, 0.0)
+    cell_degrees = lq @ sizes + (sizes - 1) * self_w
     cell_index = cell_index.reshape(-1)
     _require_edges(cell_degrees[cell_index])
-    return CellGraph(
+    graph = CellGraph(
         counts=counts,
         cell_labels=cell_labels,
         sizes=sizes,
@@ -221,3 +233,4 @@ def build_weight_graph(
         t=float(t),
         block_offsets=offsets,
     )
+    return graph, (_laplacian_in_place(lq, sizes), sizes * cell_degrees)

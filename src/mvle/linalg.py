@@ -22,6 +22,13 @@ factorisation of the shifted, deflated matrix must prove that no eigenvalue
 below the cut was skipped. If ARPACK fails or either check does, the full
 solve runs instead, so no uncertified pair is ever returned.
 
+That solve runs on one BLAS thread pool, SciPy's, and reads one triangle.
+NumPy and SciPy each load their own OpenBLAS, and on few cores the idle
+pool's spinning threads slow the busy one, so ARPACK's products, the
+residuals, the lift and the factorisation all call SciPy's symmetric BLAS
+and LAPACK routines on the lower triangle of the whitened matrix; NumPy
+does only elementwise work there.
+
 Tolerances are fixed module-wide: inputs are validated at 1e-10
 (relative), results are certified at 1e-8.
 """
@@ -42,11 +49,15 @@ from .errors import (
 INPUT_TOL = 1e-10
 RESULT_TOL = 1e-8
 # Smallest order solved by Lanczos when fewer than all pairs are asked for.
-# Measured on graph quotients with 2 vCPUs: at order 518 Lanczos saves about
-# 0.025 s, which the slower NumPy BLAS calls after SciPy's BLAS threads wake
-# give back; at 1000 it saves about 0.1 s, and at 2665 it is 4x faster. Those
-# are warm timings: a fresh process also pays 0.2-0.33 s to import SciPy at
-# its first Lanczos solve, more than the saving at order 1000.
+# Measured on c16-style graph quotients with 2 vCPUs, 10 pairs, median of 5,
+# each solver in its own warm process: certified Lanczos overtakes the dense
+# solve between orders 334 and 412, takes 0.045 s against 0.163 s at 1038,
+# and 0.24 s against 2.4 s at 2661. Below 1000 it saves at most about 0.1 s,
+# which the slower NumPy BLAS calls after SciPy's BLAS threads wake give
+# back (about 0.08 s per pipeline pass). A fresh process also pays
+# 0.2-0.33 s to import SciPy at its first Lanczos solve: a fresh
+# `train-mhon` on 1038 cells took 0.83 s through Lanczos against 0.58 s
+# through the dense solve.
 LANCZOS_MIN_ORDER = 1000
 # Rows or columns per block where m×m work is done in pieces.
 _BLOCK = 512
@@ -229,75 +240,66 @@ def _certified_lanczos(
     Accuracy: the residuals ``W V - V diag(lambda)`` have Frobenius norm at
     most ``tol = RESULT_TOL * scale`` and ``V^T V = I`` within RESULT_TOL.
     Completeness: with ``sigma = lambda_count + 2 max(tol, RESULT_TOL)``,
-    ``S = W - sigma I + V diag(c) V^T`` with ``c > sigma - lambda`` lifts
-    the found pairs above zero. A rank-``count`` update removes at most
-    ``count`` negative eigenvalues, so if ``S`` is positive definite (its
-    Cholesky factorisation succeeds), ``W`` has at most ``count``
-    eigenvalues below ``sigma``; the residual bound puts ``count`` of them
-    within ``tol`` of the found values. Every eigenvalue left out is then
-    at least ``sigma``.
+    ``S = W - sigma I + R R^T`` with ``R = V diag(sqrt(c))`` and
+    ``c > sigma - lambda`` lifts the found pairs above zero. A
+    rank-``count`` update removes at most ``count`` negative eigenvalues, so
+    if ``S`` is positive definite (its Cholesky factorisation succeeds),
+    ``W`` has at most ``count`` eigenvalues below ``sigma``; the residual
+    bound puts ``count`` of them within ``tol`` of the found values. Every
+    eigenvalue left out is then at least ``sigma``.
 
-    ``S`` is formed and factored in the lower triangle of ``white`` only.
+    Every product with ``white`` goes through SciPy's symmetric BLAS
+    kernels on the Fortran-ordered view ``white.T``, which they read
+    without a copy: ``dsymv`` for ARPACK's steps, ``dsymm`` for the
+    residuals, and one ``dsyrk`` that adds ``R R^T`` to the triangle that
+    ``dpotrf`` then factors, the lower triangle of ``white``. So the solve
+    runs on SciPy's BLAS threads alone, and NumPy's work here is elementwise.
     When the certificate holds, ``white`` is left holding the factor; when
     it fails, the lower triangle is copied back from the untouched upper one
-    and the diagonal restored, so ``white`` holds W again, bit for bit.
+    and the diagonal restored, so ``white`` holds W again, bit for bit, for
+    the dense solve that follows.
     """
     # Imported here: loading SciPy's sparse and dense linear algebra takes
     # about 0.33 s on 2 vCPUs, which only a process that solves a quotient
     # of order LANCZOS_MIN_ORDER or more pays.
+    from scipy.linalg.blas import dnrm2, dsymm, dsymv, dsyrk
     from scipy.linalg.lapack import dpotrf
-    from scipy.sparse.linalg import ArpackError, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+    # The upper triangle of ``upper`` is the lower triangle of ``white``.
+    upper = white.T
+    operator = LinearOperator(
+        white.shape, matvec=lambda x: dsymv(1.0, upper, x), dtype=np.float64
+    )
     try:
         values, vectors = eigsh(
-            white, k=count, which="SA", tol=0, v0=root_d / np.linalg.norm(root_d)
+            operator, k=count, which="SA", tol=0, v0=root_d / np.linalg.norm(root_d)
         )
     except ArpackError:
         return None
     order = np.argsort(values)
     values, vectors = values[order], vectors[:, order]
     tol = RESULT_TOL * scale
-    residual = white @ vectors
+    residual = dsymm(1.0, upper, vectors)
     residual -= vectors * values
-    gram = vectors.T @ vectors
+    # V^T V in the upper triangle; the lower one is zero.
+    gram = dsyrk(1.0, vectors, trans=1)
     np.fill_diagonal(gram, np.diagonal(gram) - 1.0)
     # Written so that a NaN anywhere fails the check.
-    if not (np.linalg.norm(residual) <= tol and np.abs(gram).max() <= RESULT_TOL):
+    if not (dnrm2(residual.ravel(order="K")) <= tol and np.abs(gram).max() <= RESULT_TOL):
         return None
     sigma = values[-1] + 2.0 * max(tol, RESULT_TOL)
-    lifted = vectors * (sigma - values + max(scale, 1.0))
+    lift = vectors * np.sqrt(sigma - values + max(scale, 1.0))
     diagonal = np.diagonal(white).copy()
     white[np.diag_indices_from(white)] -= sigma
-    for i, j, block in _lower_blocks(white):
-        update = lifted[i : i + _BLOCK] @ vectors[j : j + _BLOCK].T
-        if i == j:
-            below = np.tril_indices(block.shape[0])
-            block[below] += update[below]
-        else:
-            block += update
-    # ``white.T`` is the Fortran-ordered view LAPACK factors without a copy;
-    # its upper triangle is the lower triangle of ``white``.
-    _, info = dpotrf(white.T, lower=False, clean=False, overwrite_a=True)
+    shifted = dsyrk(1.0, lift, beta=1.0, c=upper, overwrite_c=True)
+    _, info = dpotrf(shifted, lower=False, clean=False, overwrite_a=True)
     if info == 0:
         return values, vectors
-    for i, j, block in _lower_blocks(white):
-        mirror = white[j : j + _BLOCK, i : i + _BLOCK].T
-        if i == j:
-            below = np.tril_indices(block.shape[0], -1)
-            block[below] = mirror[below]
-        else:
-            block[...] = mirror
+    for i in range(1, white.shape[0]):
+        white[i, :i] = white[:i, i]
     white[np.diag_indices_from(white)] = diagonal
     return None
-
-
-def _lower_blocks(a: np.ndarray):
-    """``(i, j, a[i:i+B, j:j+B])`` for the blocks of square ``a`` on or below
-    the diagonal, B = ``_BLOCK``."""
-    n = a.shape[0]
-    for i in range(0, n, _BLOCK):
-        for j in range(0, i + 1, _BLOCK):
-            yield i, j, a[i : i + _BLOCK, j : j + _BLOCK]
 
 
 def ridge_solve(h, t, lam: float) -> np.ndarray:

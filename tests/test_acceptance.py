@@ -139,7 +139,7 @@ def test_acceptance_1_eigensolver_matches_dense_oracle(capsys):
             n1 = int(rng.integers(c + 1, 11))
             n2 = int(rng.integers(c + 1, 21 - n1))
             bons, labels = random_bon_instance(rng, [n1, n2], c, 2)
-            w = build_weight_graph(bons, labels, t=float(c)).dense()
+            w = build_weight_graph(bons, labels, t=float(c))[0].dense()
             degrees, lap = degree_and_laplacian(w)
             res = generalized_eig_diag(lap.copy(), degrees)
             brute = np.sort(np.linalg.eig(np.diag(1.0 / degrees) @ lap)[0].real)
@@ -189,7 +189,7 @@ def test_acceptance_3_neighbor_count_and_graph_invariants(capsys):
                 failures += int(
                     not np.all(bon.counts.sum(axis=1) == bon.k)
                 )
-            w = build_weight_graph(bons, labels, t=float(c)).dense()
+            w = build_weight_graph(bons, labels, t=float(c))[0].dense()
             checks += 3
             failures += int(not np.array_equal(w, w.T))
             failures += int(not (np.all(w >= 0.0) and np.all(w <= 1.0)))
@@ -225,7 +225,7 @@ def test_acceptance_3_neighbor_count_and_graph_invariants(capsys):
         bon1 = bon_vectors(knn(x1, 3), lab1, 2)
         bon2 = bon_vectors(knn(x2, 3), lab2, 2)
         run_instance([bon1, bon2], [lab1, lab2], 2)
-        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=2.0).dense()
+        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=2.0)[0].dense()
         class2_rows = np.flatnonzero(lab1 == 2)
         assert np.all(w[np.ix_(class2_rows, np.arange(10, 18))] == 0.0)
 

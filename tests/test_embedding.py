@@ -124,7 +124,7 @@ class TestFit:
 
         normed, _ = zscore_normalize(feats)
         bon = bon_vectors(knn(normed, 5), labels, 3)
-        w = build_weight_graph([bon], [labels], t=3.0).dense()
+        w = build_weight_graph([bon], [labels], t=3.0)[0].dense()
         degrees, lap = degree_and_laplacian(w)
         res = generalized_eig_diag(lap, degrees)
         assert np.allclose(emb.eigenvalues, res.values[1:3], atol=1e-10)

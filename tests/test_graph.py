@@ -40,7 +40,7 @@ class TestBuildWeightGraph:
         x = np.array([[0.0], [1.0]])
         lab = np.array([1, 1])
         bon = bon_vectors(knn(x, 1), lab, 2)
-        w = build_weight_graph([bon, bon], [lab, lab], t=2.0).dense()
+        w = build_weight_graph([bon, bon], [lab, lab], t=2.0)[0].dense()
         assert w[0, 2] == pytest.approx(1.0, abs=1e-15)
 
     def test_stated_formula_value(self):
@@ -49,7 +49,7 @@ class TestBuildWeightGraph:
         bon2 = BonMatrix(np.array([[1, 2, 0, 0], [2, 1, 0, 0]]), k=3)
         lab1 = np.array([1, 2])
         lab2 = np.array([2, 1])
-        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=4.0).dense()
+        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=4.0)[0].dense()
         # sample 0 of view 1 vs sample 0 of view 2: counts differ by [1,-1,0,0]
         assert w[0, 2] == pytest.approx(np.exp(-2.0 / 4.0), abs=1e-15)
         assert w[0, 2] == pytest.approx(0.60653, abs=5e-6)
@@ -59,7 +59,7 @@ class TestBuildWeightGraph:
         x = np.array([[0.0], [0.1], [10.0], [10.1]])
         lab = np.array([1, 1, 2, 2])
         bon = bon_vectors(knn(x, 1), lab, 2)
-        w = build_weight_graph([bon], [lab], t=2.0).dense()
+        w = build_weight_graph([bon], [lab], t=2.0)[0].dense()
         assert w[0, 2] == 0.0
         assert w[2, 0] == 0.0
         assert w[0, 1] == pytest.approx(1.0)
@@ -68,7 +68,7 @@ class TestBuildWeightGraph:
         rng = np.random.default_rng(81)
         for _ in range(10):
             bons, labels = random_connected_instance(rng, [12, 9], 3, 4)
-            w = build_weight_graph(bons, labels, t=3.0).dense()
+            w = build_weight_graph(bons, labels, t=3.0)[0].dense()
             assert np.array_equal(w, w.T)
             assert np.all(w >= 0.0)
             assert np.all(w <= 1.0)
@@ -77,7 +77,7 @@ class TestBuildWeightGraph:
     def test_block_offsets(self):
         rng = np.random.default_rng(82)
         bons, labels = random_instance(rng, [7, 11, 5], 3, 3)
-        g = build_weight_graph(bons, labels, t=3.0)
+        g = build_weight_graph(bons, labels, t=3.0)[0]
         assert g.block_offsets == (0, 7, 18)
         assert g.n == 23
 
@@ -86,7 +86,7 @@ class TestBuildWeightGraph:
         rng = np.random.default_rng(83)
         bons, labels = random_instance(rng, [10, 8], 4, 3)
         t = 4.0
-        w = build_weight_graph(bons, labels, t=t).dense()
+        w = build_weight_graph(bons, labels, t=t)[0].dense()
         counts = np.vstack([b.counts for b in bons])
         stacked = np.concatenate(labels)
         sets = [label_set(bons[0], a) for a in range(10)]
@@ -112,7 +112,7 @@ class TestBuildWeightGraph:
         x2 = np.array([[0.0], [0.2], [0.4], [0.6]])
         lab2 = np.array([2, 2, 3, 3])
         bon2 = bon_vectors(knn(x2, 2), lab2, 3)
-        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=3.0).dense()
+        w = build_weight_graph([bon1, bon2], [lab1, lab2], t=3.0)[0].dense()
         assert np.all(w[:3, 3:] == 0.0)
         assert np.all(w[3:, :3] == 0.0)
 
@@ -122,7 +122,7 @@ class TestBuildWeightGraph:
         x = np.array([[0.0], [0.01], [0.02], [0.03]])
         lab = np.array([1, 2, 1, 2])
         bon = bon_vectors(knn(x, 3), lab, 2)
-        w = build_weight_graph([bon], [lab], t=2.0).dense()
+        w = build_weight_graph([bon], [lab], t=2.0)[0].dense()
         counts = bon.counts.astype(float)
         for a in range(4):
             for b in range(4):
@@ -195,7 +195,7 @@ class TestGraphInvariantsEndToEnd:
     def test_degrees_match_w_and_l(self):
         rng = np.random.default_rng(87)
         bons, labels = random_instance(rng, [14, 10], 3, 5)
-        g = dense_graph(build_weight_graph(bons, labels, t=3.0))
+        g = dense_graph(build_weight_graph(bons, labels, t=3.0)[0])
         assert np.allclose(g.degrees, g.w.sum(axis=0), atol=1e-12)
         assert np.allclose(g.laplacian, np.diag(g.degrees) - g.w, atol=1e-15)
         assert np.max(np.abs(g.laplacian.sum(axis=1))) < 1e-12

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mvle.errors import NonSymmetricError, SingularDegreeError
-from mvle.linalg import LANCZOS_MIN_ORDER, _fix_signs, generalized_eig_diag, ridge_solve
+from mvle.linalg import (
+    LANCZOS_MIN_ORDER,
+    _certified_lanczos,
+    _fix_signs,
+    generalized_eig_diag,
+    ridge_solve,
+)
 
 
 def unit_metric_eig(a):
@@ -126,7 +132,7 @@ class TestSymEig:
         assert np.abs(got.vectors - _fix_signs(vectors[:, :count])).max() < 1e-12
 
         def skipping_eigsh(a, k, **kwargs):
-            values, vectors = np.linalg.eigh(a)
+            values, vectors = np.linalg.eigh(a @ np.eye(a.shape[0]))
             return values[1 : k + 1], vectors[:, 1 : k + 1]
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
@@ -286,7 +292,7 @@ class TestCertifiedLanczos:
         # Pairs 2..k+1 are exact eigenpairs with tiny residuals; only the
         # completeness check can see that the lowest one is missing.
         def skipping_eigsh(a, k, **kwargs):
-            values, vectors = np.linalg.eigh(a)
+            values, vectors = np.linalg.eigh(a @ np.eye(a.shape[0]))
             return values[1 : k + 1], vectors[:, 1 : k + 1]
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
@@ -297,7 +303,7 @@ class TestCertifiedLanczos:
         # The lowest pairs with their first two vectors rotated by 1e-4 rad:
         # still orthonormal and complete, but the residuals fail.
         def rotated_eigsh(a, k, **kwargs):
-            values, vectors = np.linalg.eigh(a)
+            values, vectors = np.linalg.eigh(a @ np.eye(a.shape[0]))
             c, s = np.cos(1e-4), np.sin(1e-4)
             vectors = vectors[:, :k].copy()
             vectors[:, :2] = vectors[:, :2] @ np.array([[c, -s], [s, c]])
@@ -312,7 +318,7 @@ class TestCertifiedLanczos:
         # and the lift covers every eigenvalue below the cut, so only the
         # orthonormality check sees that one value is reported twice.
         def repeating_eigsh(a, k, **kwargs):
-            values, vectors = np.linalg.eigh(a)
+            values, vectors = np.linalg.eigh(a @ np.eye(a.shape[0]))
             index = np.r_[0, 0 : k - 1]
             return values[index], vectors[:, index]
 
@@ -352,6 +358,26 @@ class TestCertifiedLanczos:
         for count in (0, 6):
             with pytest.raises(ValueError):
                 generalized_eig_diag(lap, d, count=count)
+
+    def test_products_with_the_matrix_stay_off_numpy(self):
+        # ARPACK's steps and the residuals multiply through SciPy's BLAS, so
+        # a matrix whose NumPy products raise is still certified.
+        class NoProducts(np.ndarray):
+            def __matmul__(self, other):
+                raise AssertionError("NumPy product with the matrix")
+
+            __rmatmul__ = dot = __matmul__
+
+        n, count = LANCZOS_MIN_ORDER, 5
+        lap, d = sparse_laplacian(np.random.default_rng(49), n)
+        inv_sqrt = 1.0 / np.sqrt(d)
+        white = lap * np.multiply.outer(inv_sqrt, inv_sqrt)
+        want = np.linalg.eigh(white)[0][:count]
+        found = _certified_lanczos(
+            white.view(NoProducts), count, np.sqrt(d), float(np.abs(white).max())
+        )
+        assert found is not None
+        assert np.abs(found[0] - want).max() < 1e-10
 
 
 class TestRidgeSolve:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from mvle import embedding as embedding_mod
+from mvle import graph as graph_mod
 from mvle import linalg as linalg_mod
 from mvle.bon import bon_vectors, knn
 from mvle.dataset import (
@@ -33,7 +34,7 @@ from mvle.dataset import (
 )
 from mvle.embedding import fit
 from mvle.errors import IsolatedSampleError
-from mvle.graph import CellGraph
+from mvle.graph import CellGraph, build_weight_graph
 from mvle.linalg import LANCZOS_MIN_ORDER, _fix_signs, generalized_eig_diag
 from oracle import cell_weights, degree_and_laplacian, dense_graph, repeated_points
 
@@ -267,6 +268,18 @@ def test_eigensolve_bits_match_the_out_of_place_formulas():
         assert np.array_equal(got.vectors, _fix_signs(inv_sqrt[:, None] * vectors))
 
 
+def test_built_quotient_bits_match_the_recomputed_one():
+    # The build turns the weights it summed the degrees from into Lq; that
+    # gives the bits CellGraph.quotient recomputes from the cells.
+    for spec in (SyntheticSpec(samples_per_class=150),
+                 SyntheticSpec(class_count=16, samples_per_class=50, noise_sigma=1.0)):
+        ds = gen_synthetic(spec)
+        graph, (lq, dq) = build_weight_graph(fit_bons(ds, 10), [v.labels for v in ds.views],
+                                             float(ds.class_count))
+        want_lq, want_dq = graph.quotient()
+        assert np.array_equal(lq, want_lq) and np.array_equal(dq, want_dq)
+
+
 def fit_solver(ds, k, dim, min_order=None):
     """``fit``, the solver its quotient solve took, and whether ARPACK ran;
     ``min_order`` overrides the Lanczos threshold."""
@@ -292,6 +305,13 @@ def test_large_quotient_fit_takes_lanczos_and_matches_dense():
     assert np.max(np.abs(emb.eigenvalues - want.eigenvalues)) < EIG_TOL
     assert abs(art.eigengap - want_art.eigengap) < 2 * EIG_TOL
     assert np.max(np.abs(emb.y - want.y)) < EIG_TOL
+
+
+def test_fit_evaluates_the_cell_weights_once():
+    ds = gen_synthetic(SyntheticSpec(class_count=16, samples_per_class=50, noise_sigma=1.0))
+    with mock.patch.object(graph_mod, "_cell_weights", wraps=graph_mod._cell_weights) as spy:
+        _, art = fit(ds, 10, 8)
+    assert art.eig_solver == "lanczos" and spy.call_count == 1
 
 
 def test_protocol_sized_fit_stays_dense():
