@@ -30,9 +30,8 @@ from .errors import (
     UnpairedViewsError,
     VcDimMismatchError,
 )
-from .linalg import _fix_signs, ridge_solve
+from .linalg import _fix_signs, _top_generalized, ridge_solve
 
-SCATTER_REG = 1e-6
 CCA_KAPPA = 1e-4
 
 
@@ -71,28 +70,6 @@ def _class_scatters(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
         diff = (mu_c - mu)[:, None]
         s_b += block.shape[0] * (diff @ diff.T)
     return s_w, s_b
-
-
-def _top_generalized(numer: np.ndarray, denom: np.ndarray, dim: int) -> np.ndarray:
-    # Denominator gets a trace-scaled ridge so rank deficiency cannot break
-    # the solve; eigenvalues come back ascending, so slice from the top.
-    # Columns are scaled to unit norm and sign-fixed. Both matrices are
-    # symmetric as built, and the solver reads one triangle of each.
-    d = denom.shape[0]
-    reg = SCATTER_REG * np.trace(denom) / d
-    denom_reg = denom + reg * np.eye(d)
-    # Imported here, so that only the commands that fit a baseline pay the
-    # 0.3 s that loading SciPy takes.
-    import scipy.linalg
-
-    try:
-        _, vecs = scipy.linalg.eigh(numer, denom_reg)
-    except scipy.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"generalized eigensolve failed: {exc}") from exc
-    w = vecs[:, ::-1][:, :dim]
-    norms = np.linalg.norm(w, axis=0)
-    norms[norms == 0] = 1.0
-    return _fix_signs(w / norms)
 
 
 def _lda_directions(x: np.ndarray, labels: np.ndarray, dim: int) -> np.ndarray:

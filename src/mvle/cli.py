@@ -478,8 +478,10 @@ def main(argv=None) -> int:
                     f"command {command} needs {opt.key!r} ({'/'.join(opt.flags)})"
                 )
         return _COMMANDS[command][0](cfg)
-    except (MvleError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (MvleError, OSError, ValueError, MemoryError) as exc:
+        # NumPy's failed allocations raise a private MemoryError subclass.
+        kind = MemoryError if isinstance(exc, MemoryError) else type(exc)
+        print(f"error: {kind.__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -26,9 +26,9 @@ m×m weights Wq between cells are not stored in it. The spectrum of
 
 Building the graph evaluates Wq once: it sums the degrees from that array
 and then overwrites it with ``Lq``, the one m×m array it returns beside the
-graph. :meth:`CellGraph.quotient` and :meth:`CellGraph.dense` recompute Wq
-from the cells; only :meth:`CellGraph.dense` builds an N×N array, the
-weight matrix.
+graph, so :func:`build_weight_graph` is the one builder of the quotient
+problem. Only :meth:`CellGraph.dense` recomputes Wq from the cells, to build
+the one N×N array, the weight matrix.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ import numpy as np
 
 from .bon import BonMatrix
 from .errors import ClassCountMismatchError, IsolatedSampleError, LengthMismatchError
-
-
-# Rows of the m×m cell weights computed at a time.
-_BLOCK = 512
+from .linalg import _BLOCK
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,8 @@ class CellGraph:
     cell q, ``sizes[q]`` its sample count, ``cell_index[a]`` the cell of
     sample a, ``self_weights[q]`` the weight w_qq between two samples of
     cell q, ``cell_degrees[q]`` the degree of every sample of cell q, and
-    ``t`` the heat-kernel bandwidth. No m×m array is kept: the weights
-    between cells are recomputed from the cells where they are needed.
+    ``t`` the heat-kernel bandwidth. No m×m array is kept: :meth:`dense`
+    recomputes the weights between cells from the cells.
     """
 
     counts: np.ndarray
@@ -79,13 +76,6 @@ class CellGraph:
     def block_slices(self) -> tuple[slice, ...]:
         bounds = list(self.block_offsets) + [self.n]
         return tuple(slice(bounds[i], bounds[i + 1]) for i in range(len(self.block_offsets)))
-
-    def quotient(self) -> tuple[np.ndarray, np.ndarray]:
-        """Laplacian and diagonal metric of the m×m quotient problem,
-        recomputed from the cells: the ``Lq`` and ``Dq`` that
-        :func:`build_weight_graph` returns, bit for bit (see there)."""
-        lq = _cell_weights(self.counts, self.cell_labels, self.t)
-        return _laplacian_in_place(lq, self.sizes), self.sizes * self.cell_degrees
 
     def dense(self) -> np.ndarray:
         """The N×N weight matrix, entry for entry the weights the cells stand
@@ -127,22 +117,6 @@ def _cell_weights(counts: np.ndarray, cell_labels: np.ndarray, t: float) -> np.n
     return w
 
 
-def _laplacian_in_place(w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Cell weights ``w`` overwritten by the quotient Laplacian
-    ``Lq = diag(c⊙(dq+wqq)) - C·Wq·C``.
-
-    Edges within a cell cancel in ``Lq``, so it is built as the Laplacian of
-    ``C·Wq·C`` with its diagonal dropped, which is the same matrix without
-    the cancellation; the diagonal of ``w`` is not read.
-    """
-    sizes = sizes.astype(np.float64)
-    for i in range(0, w.shape[0], _BLOCK):
-        w[i : i + _BLOCK] *= np.multiply.outer(-sizes[i : i + _BLOCK], sizes)
-    np.fill_diagonal(w, 0.0)
-    np.fill_diagonal(w, -w.sum(axis=1))
-    return w
-
-
 def _require_edges(degrees: np.ndarray) -> None:
     isolated = np.flatnonzero(degrees == 0.0)
     if isolated.size:
@@ -160,8 +134,7 @@ def build_weight_graph(
 
     The m×m cell weights are evaluated once: their row sums give the
     degrees, and the same array is then overwritten by ``Lq``, the one m×m
-    array returned. The graph keeps no m×m array; ``Lq`` and ``Dq`` equal
-    what :meth:`CellGraph.quotient` recomputes, bit for bit.
+    array returned. The graph keeps no m×m array.
 
     Parameters
     ----------
@@ -233,4 +206,12 @@ def build_weight_graph(
         t=float(t),
         block_offsets=offsets,
     )
-    return graph, (_laplacian_in_place(lq, sizes), sizes * cell_degrees)
+    # The weights become Lq = diag(c⊙(dq+wqq)) - C·Wq·C in place. Edges
+    # within a cell cancel in Lq, so it is built as the Laplacian of C·Wq·C
+    # with its diagonal dropped: the same matrix without the cancellation.
+    c = sizes.astype(np.float64)
+    for i in range(0, lq.shape[0], _BLOCK):
+        lq[i : i + _BLOCK] *= np.multiply.outer(-c[i : i + _BLOCK], c)
+    np.fill_diagonal(lq, 0.0)
+    np.fill_diagonal(lq, -lq.sum(axis=1))
+    return graph, (lq, sizes * cell_degrees)

@@ -1,4 +1,4 @@
-"""Symmetric eigensolver and ridge regression.
+"""Symmetric eigensolvers and ridge regression.
 
 All routines work on float64 ``numpy`` arrays and are deterministic:
 eigenvalues come back in ascending order and every eigenvector has its
@@ -28,6 +28,12 @@ pool's spinning threads slow the busy one, so ARPACK's products, the
 residuals, the lift and the factorisation all call SciPy's symmetric BLAS
 and LAPACK routines on the lower triangle of the whitened matrix; NumPy
 does only elementwise work there.
+
+This is the package's one SciPy user, and it loads SciPy lazily, inside the
+two solvers that need it: the certified Lanczos solve above, and
+``_top_generalized``, the ridged generalized eigensolve of the linear
+baselines (LDA, the LDA stage of CCA+LDA, MvDA), which calls LAPACK's
+generalized symmetric driver through ``scipy.linalg.eigh``.
 
 Tolerances are fixed module-wide: inputs are validated at 1e-10
 (relative), results are certified at 1e-8.
@@ -59,8 +65,11 @@ RESULT_TOL = 1e-8
 # `train-mhon` on 1038 cells took 0.83 s through Lanczos against 0.58 s
 # through the dense solve.
 LANCZOS_MIN_ORDER = 1000
-# Rows or columns per block where m×m work is done in pieces.
+# Rows or columns per block where m×m work is done in pieces, here and in
+# the graph's cell weights.
 _BLOCK = 512
+# Ridge of the baselines' scatter denominator, relative to its mean diagonal.
+SCATTER_REG = 1e-6
 
 
 @dataclass(frozen=True)
@@ -300,6 +309,38 @@ def _certified_lanczos(
         white[i, :i] = white[:i, i]
     white[np.diag_indices_from(white)] = diagonal
     return None
+
+
+def _top_generalized(numer: np.ndarray, denom: np.ndarray, dim: int) -> np.ndarray:
+    """The ``dim`` leading directions of ``numer w = lambda denom w``,
+    unit-norm and sign-fixed, for symmetric ``numer`` and ``denom``.
+
+    ``denom`` gets a ridge of ``SCATTER_REG`` times its mean diagonal, so
+    rank deficiency cannot break the solve. LAPACK's generalized symmetric
+    driver reads one triangle of each matrix, and both are symmetric as the
+    baselines build them. Eigenvalues come back ascending, so the columns are
+    sliced from the top.
+
+    Raises
+    ------
+    NoConvergenceError
+        If LAPACK reports the generalized eigensolve failed.
+    """
+    d = denom.shape[0]
+    reg = SCATTER_REG * np.trace(denom) / d
+    denom_reg = denom + reg * np.eye(d)
+    # Imported here, so that only the commands that fit a baseline pay the
+    # 0.3 s that loading SciPy takes.
+    import scipy.linalg
+
+    try:
+        _, vecs = scipy.linalg.eigh(numer, denom_reg)
+    except scipy.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"generalized eigensolve failed: {exc}") from exc
+    w = vecs[:, ::-1][:, :dim]
+    norms = np.linalg.norm(w, axis=0)
+    norms[norms == 0] = 1.0
+    return _fix_signs(w / norms)
 
 
 def ridge_solve(h, t, lam: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mvle import baselines as bl
 from mvle.dataset import (
@@ -19,6 +20,7 @@ from mvle.errors import (
     UnpairedViewsError,
     VcDimMismatchError,
 )
+from mvle.linalg import SCATTER_REG, _fix_signs
 from oracle import nipals_weights
 
 
@@ -346,6 +348,42 @@ class TestMvda:
         ds = blob_views(46)
         proj = bl.mvda_fit(ds, dim=4)
         assert proj.dim == 4
+
+
+def lapack_directions(numer, denom, dim):
+    """The top ``dim`` columns of LAPACK's generalized symmetric driver on
+    ``(numer, denom + reg I)``, unit-norm and sign-fixed."""
+    d = denom.shape[0]
+    reg = SCATTER_REG * np.trace(denom) / d
+    _, vecs = scipy.linalg.eigh(numer, denom + reg * np.eye(d))
+    top = vecs[:, ::-1][:, :dim]
+    return _fix_signs(top / np.linalg.norm(top, axis=0))
+
+
+@pytest.mark.parametrize("split_seed", [0, 7, 23])
+def test_directions_are_lapacks_generalized_driver(split_seed):
+    # The generalized spectrum of (s_b, s_w) has c - 1 nonzero values, and
+    # MvDA's columns beyond c - 1 are the driver's arbitrary choice within a
+    # degenerate eigenspace. perfbench/reference.json recorded that choice,
+    # so a change of solver must change this test in the same change that
+    # re-records the benchmark references.
+    train, _ = split(gen_synthetic(SyntheticSpec()), 2.0 / 3.0, split_seed)
+    views = [View(zscore_normalize(v.features)[0], v.labels) for v in train.views]
+    ds = MultiViewDataset(views=tuple(views), class_count=train.class_count)
+    c = ds.class_count
+
+    for view in views:
+        s_w, s_b = bl._class_scatters(view.features, view.labels)
+        got = bl.lda_fit(view.features, view.labels, c - 1).projections[0]
+        assert np.array_equal(got, lapack_directions(s_b, s_w, c - 1))
+
+    # The stacked space: each view in its own row and column block.
+    stacked = np.zeros((sum(v.n for v in views), sum(v.dim for v in views)))
+    stacked[: views[0].n, : views[0].dim] = views[0].features
+    stacked[views[0].n :, views[0].dim :] = views[1].features
+    s_w, s_b = bl._class_scatters(stacked, np.concatenate([v.labels for v in views]))
+    got = np.vstack(bl.mvda_fit(ds, 16).projections)
+    assert np.array_equal(got, lapack_directions(s_b, s_w, 16))
 
 
 class TestElm:

@@ -4,6 +4,7 @@ columns, and every fit of a pass before any scoring."""
 import dataclasses
 import importlib
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -121,16 +122,37 @@ def test_every_eigensolve_precedes_the_first_training(default_ds, monkeypatch):
     assert last_eigh < events.index("train")
 
 
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def load_perfbench(name):
+    """The module ``perfbench/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_functions_resolve():
     # perfbench/layertrace.py wraps these (module, function) pairs by name; a
     # rename in mvle would silently drop a layer from the traced benchmark.
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
-    spec = importlib.util.spec_from_file_location("layertrace", path)
-    layertrace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layertrace)
+    layertrace = load_perfbench("layertrace")
     missing = [
         f"{module}.{name}" for module, name, _, _ in layertrace.TARGETS
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert layertrace.TARGETS
     assert not missing
+
+
+def test_smoke_workloads_pass_their_gates():
+    # The benchmark's own gate on its small inputs, against the smoke entry
+    # of perfbench/reference.json (recorded, like the pinned fixture, with
+    # one BLAS build): a library change that breaks a call the workloads
+    # make, or moves a gated output, fails here.
+    workloads = load_perfbench("workloads")
+    with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as fh:
+        smoke = json.load(fh)["smoke"]
+    for name in workloads.WORKLOADS:
+        workload = workloads.make(name, "", 7, smoke=True)
+        assert workload.gate(workload.expected(), smoke[name]["7"]) == [], name

@@ -255,6 +255,26 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case):
     assert text in err[0]
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A failed NumPy allocation raises a private MemoryError subclass; the
+    # line names the public type and keeps NumPy's message.
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    message = "Unable to allocate 14.9 GiB for an array with shape (20, 100000000)"
+
+    def exhausted(*args, **kwargs):
+        raise _ArrayMemoryError(message)
+
+    monkeypatch.setattr(mvle.mhon, "fit_layer", exhausted)
+    data = gen_small(tmp_path)
+    capsys.readouterr()
+    rc = main(["train-mhon", "--k", "6", "--dim", "3"] + view_flags(data)
+              + ["--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: MemoryError: {message}"]
+
+
 @pytest.mark.parametrize("flag", ["--features", "--labels"])
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_view_file_is_one_errno_line(tmp_path, capsys, flag, kind):

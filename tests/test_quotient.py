@@ -163,7 +163,8 @@ def test_quotient_matches_dense(instance):
     assert np.array_equal(graph.dense(), w)
 
     # Full spectrum: quotient eigenvalues plus c_q - 1 copies of 1 + w_qq/d_q.
-    quotient = generalized_eig_diag(*graph.quotient()).values
+    _, built = build_weight_graph(bons, labels, t)
+    quotient = generalized_eig_diag(*built).values
     self_weights = np.diagonal(cell_weights(graph))
     assert np.array_equal(graph.self_weights, self_weights)
     band = 1.0 + self_weights / graph.cell_degrees
@@ -246,14 +247,13 @@ def test_sign_tie_between_cells_breaks_by_sample_index():
 
 
 def test_eigensolve_bits_match_the_out_of_place_formulas():
-    # The quotient and its dense solve work in place; on a protocol-sized
-    # and a c4-sized quotient they give the bits of the plain formulas, with
-    # the cell weights recomputed out of place.
+    # The built quotient and its dense solve work in place; on a
+    # protocol-sized and a c4-sized quotient they give the bits of the plain
+    # formulas, with the cell weights recomputed out of place.
     for spec in (SyntheticSpec(samples_per_class=150), SyntheticSpec(samples_per_class=500)):
         ds, _ = split(gen_synthetic(spec), 2.0 / 3.0, 7)
-        _, art = fit(ds, 10, 8)
-        graph = art.graph
-        lq, dq = graph.quotient()
+        graph, (lq, dq) = build_weight_graph(fit_bons(ds, 10), [v.labels for v in ds.views],
+                                             float(ds.class_count))
         want = cell_weights(graph) * -np.outer(graph.sizes, graph.sizes)
         np.fill_diagonal(want, 0.0)
         np.fill_diagonal(want, -want.sum(axis=1))
@@ -266,18 +266,6 @@ def test_eigensolve_bits_match_the_out_of_place_formulas():
         assert got.solver == "dense" and graph.m < LANCZOS_MIN_ORDER
         assert np.array_equal(got.values, values)
         assert np.array_equal(got.vectors, _fix_signs(inv_sqrt[:, None] * vectors))
-
-
-def test_built_quotient_bits_match_the_recomputed_one():
-    # The build turns the weights it summed the degrees from into Lq; that
-    # gives the bits CellGraph.quotient recomputes from the cells.
-    for spec in (SyntheticSpec(samples_per_class=150),
-                 SyntheticSpec(class_count=16, samples_per_class=50, noise_sigma=1.0)):
-        ds = gen_synthetic(spec)
-        graph, (lq, dq) = build_weight_graph(fit_bons(ds, 10), [v.labels for v in ds.views],
-                                             float(ds.class_count))
-        want_lq, want_dq = graph.quotient()
-        assert np.array_equal(lq, want_lq) and np.array_equal(dq, want_dq)
 
 
 def fit_solver(ds, k, dim, min_order=None):
