@@ -156,6 +156,11 @@ def cca_lda_fit(ds: MultiViewDataset, dim: int) -> LinearProjector:
 
     The discriminant stage is capped at ``class_count - 1`` columns, so the
     resulting projector may be narrower than ``dim``.
+
+    Raises
+    ------
+    DimTooLargeError
+        If ``class_count - 1`` is 0: one class has no discriminant direction.
     """
     if ds.view_count != 2:
         raise ValueError(f"needs exactly 2 views, got {ds.view_count}")
@@ -164,10 +169,12 @@ def cca_lda_fit(ds: MultiViewDataset, dim: int) -> LinearProjector:
         raise UnpairedViewsError(f"paired views required: {v1.n} vs {v2.n} samples")
     if not np.array_equal(v1.labels, v2.labels):
         raise UnpairedViewsError("paired views must share one label sequence")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if ds.class_count < 2:
+        raise DimTooLargeError(f"dim {dim} exceeds class_count - 1 = {ds.class_count - 1}")
     cca = cca_fit(v1.features, v2.features)
     lda_dim = min(dim, ds.class_count - 1)
-    if lda_dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     projections = []
     for view, w_cca in ((v1, cca.wx), (v2, cca.wy)):
         scores = (view.features - view.features.mean(axis=0)) @ w_cca

@@ -2,11 +2,13 @@
 
 Every command reads an optional flat JSON config (``--config``) and accepts
 the same keys as long-form flags; flags win. Each key is declared once, in
-:data:`OPTIONS`, and the parser and the merged config are generated from
-that table. Flag values reach the key's rule as text and are held to the
-same rule as config values. Unknown config keys are rejected by name.
-Failures print a single machine-parsable line to stderr
-(``error: <Type>: <message>``) and exit nonzero.
+:data:`OPTIONS`, and its flag is ``--`` plus the key with dashes; the parser
+and the merged config are generated from that table. Flag values reach the
+key's rule as text and are held to the same rule as config values. A view
+is the features and labels files at one position of the ``features`` and
+``labels`` lists. Unknown config keys are rejected by name. Failures, a bad
+command line among them, print a single machine-parsable line to stderr
+(``error: <Type>: <message>``) and exit with status 1.
 """
 
 from __future__ import annotations
@@ -124,27 +126,17 @@ def _int_list(value, key: str) -> list[int]:
 _view_dims = _ranged(_int_list, lambda v: len(v) == 2, "a pair D1,D2")
 
 
+def _distinct(rule):
+    """Rule: ``rule``'s list, with no entry repeated."""
+    return _ranged(rule, lambda v: len(set(v)) == len(v), "free of repeated entries")
+
+
 def _str_list(value, key: str) -> list[str]:
     if isinstance(value, str):
         value = [part.strip() for part in value.split(",") if part.strip()]
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"config key {key!r} must be a nonempty list of strings")
     return [_string(v, key) for v in value]
-
-
-def _views_list(value, key: str) -> list[dict]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(
-            f"config key {key!r} must be a nonempty list of "
-            "{'features': path, 'labels': path} entries"
-        )
-    for i, entry in enumerate(value):
-        if not isinstance(entry, dict) or set(entry) != {"features", "labels"}:
-            raise ConfigError(
-                f"config key {key!r} entry {i} must have exactly the keys "
-                "'features' and 'labels'"
-            )
-    return [{name: _string(path, key) for name, path in entry.items()} for entry in value]
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +147,9 @@ def _views_list(value, key: str) -> list[dict]:
 class Option:
     """One config key: its rule, default, help text and the commands taking it.
 
-    ``default`` is a value, or ``default(command, cfg)`` when it depends on
-    the command or on the keys given. Under a command in ``required`` the
-    key has no default and must be given. The flag is ``--`` plus the key
-    with dashes, unless ``flag`` names another; ``action`` is argparse's.
-    The ``views`` key is the exception: each view is one ``--features`` /
-    ``--labels`` pair of flags.
+    Under a command in ``required`` the key has no default and must be
+    given. The flag is ``--`` plus the key with dashes; ``action`` is
+    argparse's (``append`` makes a list of a repeated flag).
     """
 
     key: str
@@ -169,39 +158,35 @@ class Option:
     help: str
     commands: tuple[str, ...]
     required: tuple[str, ...] = ()
-    flag: str | None = None
     action: str | None = None
 
     @property
-    def flags(self) -> tuple[str, ...]:
-        if self.key == "views":
-            return ("--features", "--labels")
-        return (self.flag or "--" + self.key.replace("_", "-"),)
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
 
 
-def _synthetic(command: str, cfg: dict) -> bool:
-    """Whether ``command`` generates its dataset instead of reading CSV views."""
-    return command == "gen" or (command == "benchmark" and not cfg.get("views"))
-
-
+# The keys of exactly these commands shape generated data, so they cannot be
+# given together with CSV views.
 _SYNTH = ("gen", "benchmark")
 _FIT = ("embed", "train-mhon", "benchmark")
 _NET = ("train-mhon", "benchmark")
 _BENCH = ("benchmark",)
 _ALL_BUT_EVAL = ("gen",) + _FIT
+_READ = ("embed", "train-mhon", "eval")
 
 OPTIONS = (
-    Option("views", _views_list, None,
-           "a view's features CSV and labels CSV; repeat the pair once per view",
-           ("embed", "train-mhon", "eval", "benchmark"),
-           required=("embed", "train-mhon", "eval")),
-    Option("models", _str_list, None, "model JSON; repeat once per view", ("eval",),
-           required=("eval",), flag="--model", action="append"),
+    Option("features", _str_list, None,
+           "a view's features CSV; repeat once per view, in the order of --labels",
+           _READ + _BENCH, required=_READ, action="append"),
+    Option("labels", _str_list, None,
+           "a view's labels CSV; repeat once per view, in the order of --features",
+           _READ + _BENCH, required=_READ, action="append"),
+    Option("model", _str_list, None, "model JSON; repeat once per view", ("eval",),
+           required=("eval",), action="append"),
     Option("out", _string, None, "also write the accuracies as CSV", ("eval",)),
-    Option("class_count", _positive_int,
-           lambda command, cfg: 4 if _synthetic(command, cfg) else None,
-           "number of classes (labels are 1..c); inferred from the labels of "
-           "CSV views, 4 for synthetic data", _ALL_BUT_EVAL),
+    Option("class_count", _positive_int, 4,
+           "synthetic number of classes (labels are 1..c); CSV views have "
+           "as many as their largest label", _SYNTH),
     Option("samples_per_class", _positive_int, 60, "synthetic rows per class, per view",
            _SYNTH),
     Option("view_dims", _view_dims, [20, 15], "synthetic feature width of each view, D1,D2",
@@ -212,11 +197,11 @@ OPTIONS = (
            f"synthetic view-2 warp: {' or '.join(NONLINEARITY_MODES)}", _SYNTH),
     # mvda-vc is opt-in: it requires equal view dims, which the default
     # synthetic dataset (20/15) deliberately does not have.
-    Option("methods", _str_list, [m for m in METHODS if m != "mvda-vc"],
+    Option("methods", _distinct(_str_list), [m for m in METHODS if m != "mvda-vc"],
            f"comma list of methods from {', '.join(METHODS)}; default all but mvda-vc",
            _BENCH),
-    Option("dims", _int_list, [2, 4, 8, 16], "comma list of projection widths to sweep",
-           _BENCH),
+    Option("dims", _distinct(_int_list), [2, 4, 8, 16],
+           "comma list of projection widths to sweep", _BENCH),
     Option("k", _positive_int, 10, "neighbors per sample, per view", _FIT),
     Option("t", _positive_float, None, "heat-kernel bandwidth; default the class count",
            _FIT),
@@ -262,7 +247,8 @@ def merge_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     """Defaults, then config file, then flags; validate keys and values.
 
     A null value counts as not given. A key required by ``command`` and
-    not given stays out of the result.
+    not given stays out of the result. A key of generated data given
+    together with views is rejected.
     """
     options = {opt.key: opt for opt in _options(command)}
     given = {}
@@ -272,39 +258,41 @@ def merge_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
                 raise ConfigError(f"unknown config key {key!r} for command {command}")
             if value is not None:
                 given[key] = value
+    stray = [key for key in given if options[key].commands == _SYNTH]
+    if stray and ("features" in given or "labels" in given):
+        raise ConfigError(f"config key {stray[0]!r} applies to generated data, not to CSV views")
     merged = {}
     for key, opt in options.items():
-        if key in given:
-            value = given[key]
-        elif command in opt.required:
+        if key not in given and command in opt.required:
             continue
-        else:
-            value = opt.default(command, given) if callable(opt.default) else opt.default
+        value = given.get(key, opt.default)
         merged[key] = None if value is None else opt.rule(value, key)
     return merged
 
 
 # ---------------------------------------------------------------------------
-# dataset assembly helpers
+# the dataset
 
 
-def _load_views(cfg: dict) -> list[View]:
-    return [load_view_csv(entry["features"], entry["labels"]) for entry in cfg["views"]]
+def _dataset(cfg: dict) -> MultiViewDataset:
+    """The CSV views that ``features`` and ``labels`` pair up, or generated data.
 
-
-def _load_dataset(cfg: dict) -> MultiViewDataset:
-    views = _load_views(cfg)
-    class_count = cfg["class_count"] or max(int(v.labels.max()) for v in views)
-    return MultiViewDataset(tuple(views), class_count)
-
-
-def _synthetic_from_cfg(cfg: dict) -> MultiViewDataset:
-    keys = [field.name for field in dataclasses.fields(SyntheticSpec)]
-    try:
-        spec = SyntheticSpec(**{key: cfg[key] for key in keys})
-    except ValueError as exc:  # the generator needs two classes and two samples each
-        raise ConfigError(f"synthetic data: {exc}") from None
-    return gen_synthetic(spec)
+    Data is generated when neither key is given. The views' class count is
+    their largest label.
+    """
+    features, labels = cfg.get("features") or [], cfg.get("labels") or []
+    if not features and not labels:
+        keys = [field.name for field in dataclasses.fields(SyntheticSpec)]
+        try:
+            spec = SyntheticSpec(**{key: cfg[key] for key in keys})
+        except ValueError as exc:  # the generator needs two classes and two samples each
+            raise ConfigError(f"synthetic data: {exc}") from None
+        return gen_synthetic(spec)
+    if len(features) != len(labels):
+        raise ConfigError(f"config keys 'features' and 'labels' pair one-to-one, "
+                          f"got {len(features)} and {len(labels)} files")
+    views = tuple(load_view_csv(f, l) for f, l in zip(features, labels))
+    return MultiViewDataset(views, max(int(v.labels.max()) for v in views))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +300,7 @@ def _synthetic_from_cfg(cfg: dict) -> MultiViewDataset:
 
 
 def cmd_gen(cfg: dict) -> int:
-    ds = _synthetic_from_cfg(cfg)
+    ds = _dataset(cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     paths = []
@@ -329,7 +317,7 @@ def cmd_gen(cfg: dict) -> int:
 
 
 def cmd_embed(cfg: dict) -> int:
-    ds = _load_dataset(cfg)
+    ds = _dataset(cfg)
     emb, art = embedding.fit(ds, cfg["k"], cfg["dim"], cfg["t"])
     paths = embedding.export_embedding(emb, art, cfg["out_dir"], seed=cfg["seed"])
     if cfg.get("dump_graph"):
@@ -346,7 +334,7 @@ def cmd_embed(cfg: dict) -> int:
 
 
 def cmd_train_mhon(cfg: dict) -> int:
-    ds = _load_dataset(cfg)
+    ds = _dataset(cfg)
     emb, art = embedding.fit(ds, cfg["k"], cfg["dim"], cfg["t"])
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -367,11 +355,11 @@ def cmd_train_mhon(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    models = [mhon.load_model(p) for p in cfg["models"]]
-    views = _load_views(cfg)
+    models = [mhon.load_model(p) for p in cfg["model"]]
+    ds = _dataset(cfg)
+    views = ds.views
     if len(models) == 1 and models[0].view_id == 0 and len(views) > 1:
         # One concat model scores all views side by side.
-        ds = MultiViewDataset(views=tuple(views), class_count=models[0].class_count)
         views = [View(*ds.view_data(0))]
     if len(models) != len(views):
         raise ConfigError(
@@ -394,10 +382,7 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_benchmark(cfg: dict) -> int:
-    if _synthetic("benchmark", cfg):
-        ds = _synthetic_from_cfg(cfg)
-    else:
-        ds = _load_dataset(cfg)
+    ds = _dataset(cfg)
     rows, runs = run_benchmark(ds, cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -405,7 +390,7 @@ def cmd_benchmark(cfg: dict) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(render_report_csv(rows))
     runs_path = os.path.join(out_dir, "report_runs.json")
-    echo = {k: v for k, v in cfg.items() if k != "views"}
+    echo = {k: v for k, v in cfg.items() if k not in ("features", "labels")}
     echo["class_count"] = ds.class_count
     with open(runs_path, "w", encoding="utf-8") as fh:
         json.dump(
@@ -432,8 +417,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose command-line errors are one ``ConfigError`` line.
+
+    Its subparsers are of the same class; ``--help`` still prints and exits.
+    """
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvle",
         description="Multi-view subspace learning benchmark toolkit",
     )
@@ -442,41 +437,25 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON object of config keys")
         for opt in _options(command):
-            if opt.key == "views":
-                for flag in opt.flags:
-                    p.add_argument(flag, action="append", metavar="PATH", help=opt.help)
-            else:
-                # Flags stay text (no type= or choices=): the option's rule checks them.
-                p.add_argument(*opt.flags, dest=opt.key, action=opt.action, default=None,
-                               help=opt.help)
+            # Flags stay text (no type= or choices=): the option's rule checks them.
+            p.add_argument(opt.flag, dest=opt.key, action=opt.action, default=None,
+                           help=opt.help)
     return parser
 
 
-def _views_from_flags(args) -> list[dict] | None:
-    if args.features is None and args.labels is None:
-        return None
-    if len(args.features or ()) != len(args.labels or ()):
-        raise ConfigError(
-            "--features and --labels must be given the same number of times"
-        )
-    return [{"features": f, "labels": l} for f, l in zip(args.features, args.labels)]
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = args.command
     try:
+        args = build_parser().parse_args(argv)
+        command = args.command
         file_cfg = load_config_file(args.config) if args.config else {}
         flag_cfg = {}
         for opt in _options(command):
-            value = _views_from_flags(args) if opt.key == "views" else getattr(args, opt.key)
+            value = getattr(args, opt.key)
             flag_cfg[opt.key] = _Text(value) if isinstance(value, str) else value
         cfg = merge_config(command, file_cfg, flag_cfg)
         for opt in _options(command):
             if command in opt.required and not cfg.get(opt.key):
-                raise ConfigError(
-                    f"command {command} needs {opt.key!r} ({'/'.join(opt.flags)})"
-                )
+                raise ConfigError(f"command {command} needs {opt.key!r} ({opt.flag})")
         return _COMMANDS[command][0](cfg)
     except (MvleError, OSError, ValueError, MemoryError) as exc:
         # NumPy's failed allocations raise a private MemoryError subclass.

@@ -18,7 +18,7 @@ import pytest
 from mvle import baselines as bl
 from mvle import mhon
 from mvle.bon import bon_vectors, knn
-from mvle.cli import _synthetic_from_cfg, merge_config, run_benchmark
+from mvle.cli import _dataset, merge_config, run_benchmark
 from mvle.dataset import MultiViewDataset, View
 from mvle.embedding import fit
 from mvle.errors import DimTooLargeError, IsolatedSampleError
@@ -103,7 +103,7 @@ def d_orthonormal_competitor(rng, degrees, dim):
 def pinned_benchmark():
     """The pinned-seed benchmark shared by checks 4 and 5."""
     cfg = merge_config("benchmark", {"methods": ["mvle", "mvda", "raw"]}, {})
-    ds = _synthetic_from_cfg(cfg)
+    ds = _dataset(cfg)
     start = time.perf_counter()
     rows, _ = run_benchmark(ds, cfg)
     elapsed = time.perf_counter() - start

@@ -150,6 +150,15 @@ class TestCca:
         proj = bl.cca_lda_fit(ds, dim=4)
         assert proj.dim == 2
 
+    def test_cca_lda_one_class_names_the_class_rank(self):
+        v1, v2 = blob_views(35).views
+        one = MultiViewDataset(
+            views=tuple(View(v.features, np.ones(v.n, dtype=np.int64)) for v in (v1, v2)),
+            class_count=1,
+        )
+        with pytest.raises(DimTooLargeError, match=r"class_count - 1 = 0"):
+            bl.cca_lda_fit(one, dim=16)
+
 
 def zscored_train(seed):
     """Training part of the default synthetic data at split seed ``seed``,

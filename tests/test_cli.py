@@ -107,19 +107,19 @@ MHON_DEFAULTS = {
 # Every command's config with no config file and no flags, as literal data.
 MERGED_DEFAULTS = {
     "gen": {**SYNTH_DEFAULTS, "seed": 7, "out_dir": "."},
-    "embed": {**FIT_DEFAULTS, "class_count": None, "dim": 4, "dump_graph": False},
-    "train-mhon": {**FIT_DEFAULTS, "class_count": None, "dim": 4, **MHON_DEFAULTS},
+    "embed": {**FIT_DEFAULTS, "dim": 4, "dump_graph": False},
+    "train-mhon": {**FIT_DEFAULTS, "dim": 4, **MHON_DEFAULTS},
     "eval": {"out": None},
     "benchmark": {
         **FIT_DEFAULTS, **SYNTH_DEFAULTS, **MHON_DEFAULTS,
-        "views": None, "methods": ["mvle", "cca-lda", "pls", "mvda", "raw"],
+        "features": None, "labels": None, "methods": ["mvle", "cca-lda", "pls", "mvda", "raw"],
         "dims": [2, 4, 8, 16], "train_fraction": 2.0 / 3.0, "repeats": 5,
         "elm_hidden": 256, "elm_lambda": 1e-2, "vc_lambda": 1.0,
     },
 }
 SYNTH_FLAGS = {"--class-count", "--samples-per-class", "--view-dims", "--noise-sigma",
                "--nonlinearity", "--seed", "--out-dir"}
-FIT_FLAGS = {"--features", "--labels", "--class-count", "--k", "--t", "--seed", "--out-dir"}
+FIT_FLAGS = {"--features", "--labels", "--k", "--t", "--seed", "--out-dir"}
 MHON_FLAGS = {"--h1", "--h2", "--mhon-lambda", "--activation", "--mhon-mode"}
 # Every command's long flags, as literal data; --config and --help are everywhere.
 LONG_FLAGS = {
@@ -156,8 +156,10 @@ class TestOptionTable:
         for command, sub in subparsers().items():
             flags = {a.dest: a.option_strings for a in sub._actions
                      if a.option_strings and a.dest not in ("help", "config")}
-            # Each config key has a flag; views come as --features/--labels pairs.
-            assert set(merge_config(command, {}, {})) - {"views"} <= set(flags)
+            # Each flag is its config key with dashes, and each config key has one.
+            assert all(strings == ["--" + key.replace("_", "-")]
+                       for key, strings in flags.items())
+            assert set(merge_config(command, {}, {})) <= set(flags)
             for key, strings in flags.items():
                 if f"`{key}`" not in readme and not any(
                     re.search(re.escape(flag) + r"(?![\w-])", readme) for flag in strings
@@ -181,6 +183,18 @@ BAD_VALUES = {
     "gen-one-class": (["gen", "--class-count", "1"], None, "class_count"),
     "config-file-dims-text": (["benchmark"], '{"dims": ["2", "4"]}', "dims"),
     "config-file-view-dims-text": (["gen"], '{"view_dims": ["8", "6"]}', "view_dims"),
+    "benchmark-dims-repeated": (["benchmark", "--dims", "2,2"], None, "dims"),
+    "benchmark-methods-repeated": (["benchmark", "--methods", "raw,raw"], None, "methods"),
+    "config-file-dims-repeated": (["benchmark"], '{"dims": [4, 2, 4]}', "dims"),
+    # Generator keys shape generated data only; CSV views are appended below.
+    "views-class-count": (["benchmark", "--class-count", "4"], None, "class_count"),
+    "views-samples-per-class": (["benchmark", "--samples-per-class", "9"], None,
+                                "samples_per_class"),
+    "views-view-dims": (["benchmark", "--view-dims", "8,6"], None, "view_dims"),
+    "views-noise-sigma": (["benchmark", "--noise-sigma", "0.3"], None, "noise_sigma"),
+    "config-file-views-nonlinearity": (["benchmark"], '{"nonlinearity": "linear"}',
+                                       "nonlinearity"),
+    "config-file-embed-class-count": (["embed"], '{"class_count": 4}', "class_count"),
 }
 
 
@@ -198,6 +212,85 @@ def test_bad_value_is_one_config_error_line(tmp_path, capsys, case):
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ConfigError:")
     assert re.search(rf"\b{key}\b", err[0])
+
+
+# Command lines argparse rejects, each failing with one ConfigError line that
+# holds the given text.
+BAD_COMMAND_LINES = {
+    "unknown-flag": (["embed", "--nope", "3"], "unrecognized arguments: --nope 3"),
+    "flag-without-value": (["embed", "--k"], "argument --k: expected one argument"),
+    "unknown-command": (["bogus"], "invalid choice: 'bogus'"),
+    "no-command": ([], "required: command"),
+    "embed-class-count": (["embed", "--class-count", "4"],
+                          "unrecognized arguments: --class-count 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMMAND_LINES))
+def test_bad_command_line_is_one_config_error_line(capsys, case):
+    argv, text = BAD_COMMAND_LINES[case]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigError: mvle")
+    assert text in err[0]
+
+
+def test_help_still_prints_and_exits(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--help"])
+    assert exc.value.code == 0
+    assert "--features" in capsys.readouterr().out
+
+
+class TestKeyLayout:
+    """Views are the list keys ``features`` and ``labels``, models the list key ``model``."""
+
+    @pytest.mark.parametrize("command", ["embed", "train-mhon", "eval"])
+    def test_config_file_lists_match_flags(self, tmp_path, capsys, command):
+        data = gen_small(tmp_path)
+        lists = {key: [str(data / f"view{i}_{key}.csv") for i in (1, 2)]
+                 for key in ("features", "labels")}
+        argv = [command, "--k", "6", "--dim", "3"]
+        if command == "eval":
+            models = tmp_path / "models"
+            assert main(["train-mhon"] + argv[1:] + view_flags(data)
+                        + ["--out-dir", str(models)]) == 0
+            lists["model"] = [str(models / f"mhon_view{i}.json") for i in (1, 2)]
+            argv = [command]
+        capsys.readouterr()
+        runs = []
+        for way in ("flags", "config"):
+            out = tmp_path / way
+            out.mkdir()
+            extra = (["--out", str(out / "eval.csv")] if command == "eval"
+                     else ["--out-dir", str(out)])
+            if way == "flags":
+                extra += [s for key, paths in lists.items() for path in paths
+                          for s in (f"--{key}", path)]
+            else:
+                (tmp_path / "cfg.json").write_text(json.dumps(lists))
+                extra += ["--config", str(tmp_path / "cfg.json")]
+            assert main(argv + extra) == 0, capsys.readouterr().err
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            runs.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0][1]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("command,key", [
+        ("embed", "views"), ("benchmark", "views"), ("eval", "models"),
+    ])
+    def test_old_list_keys_are_unknown(self, tmp_path, capsys, command, key):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {key: [{"features": "a.csv", "labels": "b.csv"}] if key == "views" else ["m.json"]}
+        ))
+        rc = main([command, "--config", str(tmp_path / "cfg.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: unknown config key {key!r} for command {command}"
+        ]
 
 
 def _empty_features_csv(data):
@@ -231,6 +324,17 @@ def _label_beyond_int64(data):
     return ["embed"] + view_flags(data), "LabelOutOfRangeError", "view1_labels.csv: line 3"
 
 
+def _labels_without_features(data):
+    # benchmark generates its data without views; one labels file is half a view
+    argv = ["benchmark", "--labels", str(data / "view1_labels.csv")]
+    return argv, "ConfigError", "'features' and 'labels' pair one-to-one, got 0 and 1 files"
+
+
+def _more_features_than_labels(data):
+    argv = ["embed"] + view_flags(data)[:-2]
+    return argv, "ConfigError", "'features' and 'labels' pair one-to-one, got 2 and 1 files"
+
+
 def _h2_beyond_numpy_shapes(data):
     # numpy rejects the shape before it allocates anything
     return ["train-mhon", "--h2", str(10**30)] + view_flags(data), "ValueError", "dimension"
@@ -240,7 +344,8 @@ def _h2_beyond_numpy_shapes(data):
 # function takes the data dir and returns (argv, error type, text the line holds).
 BAD_INPUTS = {f.__name__.strip("_"): f for f in (
     _empty_features_csv, _non_utf8_features_csv, _non_utf8_config, _empty_test_view,
-    _h2_beyond_numpy_shapes, _label_beyond_int64,
+    _h2_beyond_numpy_shapes, _label_beyond_int64, _labels_without_features,
+    _more_features_than_labels,
 )}
 
 
