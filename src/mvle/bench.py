@@ -75,15 +75,13 @@ def mhon_hyper(cfg: dict, seed: int) -> mhon.MhonHyper:
 
 
 def _fit_linear(method: str, norm_train: MultiViewDataset, dim: int, cfg: dict) -> LinearProjector:
+    """Fit linear ``method``; :func:`run_benchmark` has checked its name."""
     if method == "cca-lda":
         return cca_lda_fit(norm_train, dim)
     if method == "pls":
         return pls_fit(norm_train, dim)
-    if method == "mvda":
-        return mvda_fit(norm_train, dim)
-    if method == "mvda-vc":
-        return mvda_fit(norm_train, dim, view_consistency_lambda=cfg["vc_lambda"])
-    raise UnknownMethodError(f"unknown method {method!r}")
+    vc_lambda = cfg["vc_lambda"] if method == "mvda-vc" else None
+    return mvda_fit(norm_train, dim, view_consistency_lambda=vc_lambda)
 
 
 def _fit(method: str, sp: _Split, cfg: dict, max_dim: int):

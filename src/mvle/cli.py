@@ -4,8 +4,12 @@ Every command reads an optional flat JSON config (``--config``) and accepts
 the same keys as long-form flags; flags win. Each key is declared once, in
 :data:`OPTIONS`, and its flag is ``--`` plus the key with dashes; the parser
 and the merged config are generated from that table. Flag values reach the
-key's rule as text and are held to the same rule as config values. A view
-is the features and labels files at one position of the ``features`` and
+key's rule as text and are held to the same rule as config values. Every
+list key has the one rule :func:`_list`: a JSON array, or one string that
+is the flag's comma text, except that a string for a path key (``features``,
+``labels``, ``model``) is one whole path. Every named value, each
+``methods`` entry among them, must be one of its key's names. A view is the
+features and labels files at one position of the ``features`` and
 ``labels`` lists. Unknown config keys are rejected by name. Failures, a bad
 command line among them, print a single machine-parsable line to stderr
 (``error: <Type>: <message>``) and exit with status 1.
@@ -115,15 +119,19 @@ def _bool(value, key: str) -> bool:
     return value
 
 
-def _int_list(value, key: str) -> list[int]:
-    if isinstance(value, str):
-        value = [_Text(part) for part in value.split(",") if part.strip()]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"config key {key!r} must be a nonempty list of integers")
-    return [_positive_int(v, key) for v in value]
+def _list(item, comma: bool = True):
+    """Rule: a nonempty JSON array of ``item`` values, or one string.
 
-
-_view_dims = _ranged(_int_list, lambda v: len(v) == 2, "a pair D1,D2")
+    The string is the flag's comma text, one entry per part; with
+    ``comma=False`` it is one whole entry, so a path may hold a comma.
+    """
+    def check(value, key: str) -> list:
+        if isinstance(value, str):
+            value = [_Text(p.strip()) for p in value.split(",") if p.strip()] if comma else [value]
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"config key {key!r} must be a nonempty list")
+        return [item(v, key) for v in value]
+    return check
 
 
 def _distinct(rule):
@@ -131,12 +139,8 @@ def _distinct(rule):
     return _ranged(rule, lambda v: len(set(v)) == len(v), "free of repeated entries")
 
 
-def _str_list(value, key: str) -> list[str]:
-    if isinstance(value, str):
-        value = [part.strip() for part in value.split(",") if part.strip()]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"config key {key!r} must be a nonempty list of strings")
-    return [_string(v, key) for v in value]
+_paths = _list(_string, comma=False)
+_view_dims = _ranged(_list(_positive_int), lambda v: len(v) == 2, "a pair D1,D2")
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +179,13 @@ _ALL_BUT_EVAL = ("gen",) + _FIT
 _READ = ("embed", "train-mhon", "eval")
 
 OPTIONS = (
-    Option("features", _str_list, None,
+    Option("features", _paths, None,
            "a view's features CSV; repeat once per view, in the order of --labels",
            _READ + _BENCH, required=_READ, action="append"),
-    Option("labels", _str_list, None,
+    Option("labels", _paths, None,
            "a view's labels CSV; repeat once per view, in the order of --features",
            _READ + _BENCH, required=_READ, action="append"),
-    Option("model", _str_list, None, "model JSON; repeat once per view", ("eval",),
+    Option("model", _paths, None, "model JSON; repeat once per view", ("eval",),
            required=("eval",), action="append"),
     Option("out", _string, None, "also write the accuracies as CSV", ("eval",)),
     Option("class_count", _positive_int, 4,
@@ -197,10 +201,10 @@ OPTIONS = (
            f"synthetic view-2 warp: {' or '.join(NONLINEARITY_MODES)}", _SYNTH),
     # mvda-vc is opt-in: it requires equal view dims, which the default
     # synthetic dataset (20/15) deliberately does not have.
-    Option("methods", _distinct(_str_list), [m for m in METHODS if m != "mvda-vc"],
+    Option("methods", _distinct(_list(_choice(METHODS))), [m for m in METHODS if m != "mvda-vc"],
            f"comma list of methods from {', '.join(METHODS)}; default all but mvda-vc",
            _BENCH),
-    Option("dims", _distinct(_int_list), [2, 4, 8, 16],
+    Option("dims", _distinct(_list(_positive_int)), [2, 4, 8, 16],
            "comma list of projection widths to sweep", _BENCH),
     Option("k", _positive_int, 10, "neighbors per sample, per view", _FIT),
     Option("t", _positive_float, None, "heat-kernel bandwidth; default the class count",

@@ -7,10 +7,11 @@ samples can be dropped into the learned space without rebuilding the graph.
 The head standardizes the guided coordinates (their numeric scale is an
 artifact of the eigenvector normalization, not a signal) and is the ELM
 classifier trained on them: a random sigmoid layer with a ridge-solved
-readout onto one-hot class targets. Both layers draw from uniform(-1, 1) on
-one seeded stream (guide ``a``, ``b``, then head ``a``, ``b``), so training
-is fully deterministic given (inputs, hyper). The model file names these
-arrays ``a1``, ``b1``, ``g`` and ``a2``, ``b2``, ``b_out``.
+readout onto one-hot class targets. :func:`predict` labels new samples by
+``baselines.elm_predict`` on the head, block by block. Both layers draw from
+uniform(-1, 1) on one seeded stream (guide ``a``, ``b``, then head ``a``,
+``b``), so training is fully deterministic given (inputs, hyper). The model
+file names these arrays ``a1``, ``b1``, ``g`` and ``a2``, ``b2``, ``b_out``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import ACTIVATIONS, ElmClassifier, elm_train, fit_layer, layer_output
+from .baselines import ACTIVATIONS, ElmClassifier, elm_predict, elm_train, fit_layer, layer_output
 from .dataset import MultiViewDataset, NormStats, zscore_apply, zscore_fit
 from .errors import DimMismatchError, LengthMismatchError, ModelFormatError
 
@@ -172,26 +173,22 @@ def embed(model: MhonModel, x) -> np.ndarray:
     return layer_output(model.guide, zscore_apply(xm, model.norm_stats))
 
 
-def decision_values(model: MhonModel, x) -> np.ndarray:
-    """Per-class scores for new raw samples."""
-    return layer_output(model.head, zscore_apply(embed(model, x), model.guide_stats))
-
-
-#: Rows :func:`predict` scores at a time, so its hidden-layer temporaries stay
+#: Rows :func:`predict` labels at a time, so its hidden-layer temporaries stay
 #: a few MB however many rows it is given.
 PREDICT_BLOCK_ROWS = 4096
 
 
 def predict(model: MhonModel, x) -> np.ndarray:
-    """Predicted 1-based labels; score ties resolve to the lowest class id."""
+    """Predicted 1-based labels: the head's :func:`~mvle.baselines.elm_predict`
+    on the standardized guided coordinates, one block of rows at a time."""
     xm = np.asarray(x, dtype=np.float64)
     _check_width(model, xm)
     # max(n, 1): zero rows still make one (empty) block.
-    labels = [
-        np.argmax(decision_values(model, xm[start:start + PREDICT_BLOCK_ROWS]), axis=1)
-        for start in range(0, max(xm.shape[0], 1), PREDICT_BLOCK_ROWS)
-    ]
-    return np.concatenate(labels).astype(np.int64) + 1
+    labels = []
+    for start in range(0, max(xm.shape[0], 1), PREDICT_BLOCK_ROWS):
+        z = embed(model, xm[start:start + PREDICT_BLOCK_ROWS])
+        labels.append(elm_predict(model.head, zscore_apply(z, model.guide_stats)))
+    return np.concatenate(labels)
 
 
 FORMAT_NAME = "mhon-model"
@@ -269,8 +266,10 @@ def from_json(text: str | bytes) -> MhonModel:
         raise ModelFormatError(f"model is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"not a {FORMAT_NAME} document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported {FORMAT_NAME} version {doc.get('version')!r}")
+    version = doc.get("version")
+    # JSON true and 1.0 equal 1 in Python; the version is the integer itself.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported {FORMAT_NAME} version {version!r}")
     try:
         model = _model_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:

@@ -185,6 +185,8 @@ BAD_VALUES = {
     "config-file-view-dims-text": (["gen"], '{"view_dims": ["8", "6"]}', "view_dims"),
     "benchmark-dims-repeated": (["benchmark", "--dims", "2,2"], None, "dims"),
     "benchmark-methods-repeated": (["benchmark", "--methods", "raw,raw"], None, "methods"),
+    "benchmark-methods-unknown": (["benchmark", "--methods", "foo,raw"], None, "methods"),
+    "config-file-methods-unknown": (["benchmark"], '{"methods": ["raw", "x"]}', "methods"),
     "config-file-dims-repeated": (["benchmark"], '{"dims": [4, 2, 4]}', "dims"),
     # Generator keys shape generated data only; CSV views are appended below.
     "views-class-count": (["benchmark", "--class-count", "4"], None, "class_count"),
@@ -261,18 +263,38 @@ class TestKeyLayout:
             lists["model"] = [str(models / f"mhon_view{i}.json") for i in (1, 2)]
             argv = [command]
         capsys.readouterr()
+        flags = [s for key, paths in lists.items() for path in paths for s in (f"--{key}", path)]
+        self.assert_same_runs(tmp_path, capsys, argv, flags, lists)
+
+    # One view's well-separated classes are several graph components.
+    @pytest.mark.filterwarnings("ignore:joint graph has")
+    @pytest.mark.parametrize("command", ["embed", "eval"])
+    def test_config_file_string_is_one_path(self, tmp_path, capsys, command):
+        # A path key's string is one whole path, even when it holds a comma.
+        data = gen_small(tmp_path, sub="a,b")
+        paths = {"features": str(data / "view1_features.csv"),
+                 "labels": str(data / "view1_labels.csv")}
+        argv = [command, "--k", "6", "--dim", "3"]
+        if command == "eval":
+            assert main(["train-mhon"] + argv[1:] + view_flags(data, 1)
+                        + ["--out-dir", str(data)]) == 0
+            paths["model"] = str(data / "mhon_view1.json")
+            argv = [command]
+        capsys.readouterr()
+        flags = [s for key, path in paths.items() for s in (f"--{key}", path)]
+        self.assert_same_runs(tmp_path, capsys, argv, flags, paths)
+
+    @staticmethod
+    def assert_same_runs(tmp_path, capsys, argv, flags, config):
+        """``argv`` with the path ``flags``, then with ``config`` as a config file:
+        same stdout, same files."""
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
         runs = []
-        for way in ("flags", "config"):
+        for way, extra in (("flags", flags), ("config", ["--config", str(tmp_path / "cfg.json")])):
             out = tmp_path / way
             out.mkdir()
-            extra = (["--out", str(out / "eval.csv")] if command == "eval"
-                     else ["--out-dir", str(out)])
-            if way == "flags":
-                extra += [s for key, paths in lists.items() for path in paths
-                          for s in (f"--{key}", path)]
-            else:
-                (tmp_path / "cfg.json").write_text(json.dumps(lists))
-                extra += ["--config", str(tmp_path / "cfg.json")]
+            extra = extra + (["--out", str(out / "eval.csv")] if argv[0] == "eval"
+                             else ["--out-dir", str(out)])
             assert main(argv + extra) == 0, capsys.readouterr().err
             stdout = capsys.readouterr().out.replace(str(out), "OUT")
             runs.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
@@ -660,6 +682,8 @@ MODEL_DEFECTS = {
     "seed-text": lambda doc: doc["hyper"].update(seed="abc"),
     "ridge-lambda-bool": lambda doc: doc["hyper"].update(ridge_lambda=True),
     "h1-float": lambda doc: doc["hyper"].update(h1=float(doc["hyper"]["h1"])),
+    "version-bool": lambda doc: doc.update(version=True),
+    "version-float": lambda doc: doc.update(version=1.0),
 }
 
 
@@ -839,10 +863,10 @@ class TestBenchmark:
             ["benchmark"] + BENCH_SMALL
             + ["--methods", "raw,banana", "--out-dir", str(tmp_path / "x")]
         )
-        captured = capsys.readouterr()
+        err = capsys.readouterr().err.splitlines()
         assert rc == 1
-        assert captured.err.startswith("error: UnknownMethodError:")
-        assert "banana" in captured.err
+        assert len(err) == 1 and err[0].startswith("error: ConfigError: config key 'methods'")
+        assert "banana" in err[0]
 
     def test_config_file_plus_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "bench.json"

@@ -1,5 +1,6 @@
 """Out-of-sample network tests: activations, training, fidelity, JSON."""
 
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 
 from mvle import mhon
-from mvle.dataset import NormStats, SyntheticSpec, gen_synthetic
+from mvle.dataset import NormStats, SyntheticSpec, gen_synthetic, zscore_apply
 from mvle.embedding import fit
 from mvle.errors import DimMismatchError, LabelOutOfRangeError, LengthMismatchError
-from mvle.baselines import one_hot
-from mvle.mhon import MhonHyper, decision_values, embed, predict, train
+from mvle.baselines import elm_predict, layer_output, one_hot
+from mvle.mhon import MhonHyper, embed, predict, train
 from oracle import layer_arrays
 
 
@@ -27,6 +28,11 @@ def small_problem(seed=0, n_per=10, classes=3, d=6, dim=2, spread=1.0):
     targets = rng.normal(size=(classes, dim))[labels - 1]
     targets += 0.05 * rng.normal(size=(labels.size, dim))
     return x, targets, labels, classes
+
+
+def head_scores(model, x):
+    """The head's class scores of all rows of ``x`` at once, by the formula."""
+    return layer_output(model.head, zscore_apply(embed(model, x), model.guide_stats))
 
 
 class TestActivation:
@@ -223,7 +229,7 @@ class TestEmbedPredict:
         # same input row, same output row (up to BLAS blocking noise)
         z = embed(model, test)
         np.testing.assert_allclose(z[5], z[2], rtol=0, atol=1e-12)
-        scores = decision_values(model, test)
+        scores = head_scores(model, test)
         np.testing.assert_allclose(scores[5], scores[2], rtol=0, atol=1e-12)
         assert np.array_equal(predict(model, test)[:5], predict(model, x[:5]))
 
@@ -280,15 +286,20 @@ class TestEmbedPredict:
 
     def test_tie_breaks_to_lowest_class(self):
         x, targets, labels, c = small_problem(seed=9)
-        model = train(x, targets, labels, c)
-        scores = decision_values(model, x[:4])
-        ranked = np.argsort(-scores, axis=1)
-        manual = []
-        for row in scores:
-            best = np.flatnonzero(row == row.max())
-            manual.append(best.min() + 1)
-        assert np.array_equal(predict(model, x[:4]), manual)
-        assert np.array_equal(ranked[:, 0] + 1, manual)
+        trained = train(x, targets, labels, c)
+        # The same model with class 2 scoring exactly what class 1 does on every row.
+        beta = trained.head.beta.copy()
+        beta[:, 1] = beta[:, 0]
+        tied = dataclasses.replace(trained, head=dataclasses.replace(trained.head, beta=beta))
+        for model in (trained, tied):
+            scores = head_scores(model, x)
+            manual = []
+            for row in scores:
+                best = np.flatnonzero(row == row.max())
+                manual.append(best.min() + 1)
+            assert np.array_equal(predict(model, x), manual)
+            assert np.array_equal(np.argmax(scores, axis=1) + 1, manual)
+        assert 2 in predict(trained, x) and 2 not in predict(tied, x)
 
 
 class TestBlockedPredict:
@@ -299,7 +310,7 @@ class TestBlockedPredict:
 
     def test_blocks_equal_one_full_argmax(self, model):
         x = np.random.default_rng(13).normal(size=(2 * mhon.PREDICT_BLOCK_ROWS + 17, 20))
-        full = np.argmax(decision_values(model, x), axis=1).astype(np.int64) + 1
+        full = np.argmax(head_scores(model, x), axis=1).astype(np.int64) + 1
         got = predict(model, x)
         assert got.dtype == np.int64
         assert np.array_equal(got, full)
@@ -416,6 +427,9 @@ def test_readme_library_example_runs():
     assert scope["coords"].shape == (n, 4)
     assert scope["labels"].shape == (n,)
     assert set(scope["labels"]) <= set(range(1, ds.class_count + 1))
+    # the labels are the head's elm_predict on the standardized coordinates
+    head_input = zscore_apply(scope["coords"], model.guide_stats)
+    assert np.array_equal(scope["labels"], elm_predict(model.head, head_input))
     # "the same network for view 1"
     for got, want in zip(layer_arrays(scope["same"]), layer_arrays(model)):
         assert np.array_equal(got, want)
