@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiViewDataset
+from .dataset import MultiViewDataset, check_labels
 from .errors import (
     DimMismatchError,
     DimTooLargeError,
-    LabelOutOfRangeError,
     LengthMismatchError,
     NoConvergenceError,
     UnpairedViewsError,
@@ -82,13 +81,14 @@ def lda_fit(x, labels, dim: int) -> LinearProjector:
 
     Raises
     ------
+    LengthMismatchError, LabelOutOfRangeError
+        Unless ``labels`` pass :func:`~mvle.dataset.check_labels` with one
+        label per row of ``x``.
     DimTooLargeError
         If ``dim`` exceeds ``class_count - 1``, the discriminant rank.
     """
     xm = np.asarray(x, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
-    if xm.shape[0] != lab.shape[0]:
-        raise LengthMismatchError(f"{xm.shape[0]} rows but {lab.shape[0]} labels")
+    lab = check_labels(labels, xm.shape[0])
     c = np.unique(lab).size
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -116,6 +116,18 @@ def _inv_sqrt_psd(a: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
+def _paired_blocks(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float arrays; ``UnpairedViewsError`` unless their
+    row counts agree."""
+    xm = np.asarray(x, dtype=np.float64)
+    ym = np.asarray(y, dtype=np.float64)
+    if xm.shape[0] != ym.shape[0]:
+        raise UnpairedViewsError(
+            f"paired blocks required: {xm.shape[0]} vs {ym.shape[0]} samples"
+        )
+    return xm, ym
+
+
 def cca_fit(x, y, kappa: float = CCA_KAPPA) -> CcaResult:
     """Regularized canonical correlation analysis of two paired blocks.
 
@@ -128,12 +140,7 @@ def cca_fit(x, y, kappa: float = CCA_KAPPA) -> CcaResult:
     UnpairedViewsError
         If the blocks disagree on sample count.
     """
-    xm = np.asarray(x, dtype=np.float64)
-    ym = np.asarray(y, dtype=np.float64)
-    if xm.shape[0] != ym.shape[0]:
-        raise UnpairedViewsError(
-            f"paired blocks required: {xm.shape[0]} vs {ym.shape[0]} samples"
-        )
+    xm, ym = _paired_blocks(x, y)
     n = xm.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -159,26 +166,25 @@ def cca_lda_fit(ds: MultiViewDataset, dim: int) -> LinearProjector:
 
     Raises
     ------
+    UnpairedViewsError
+        If the views are not paired (:meth:`MultiViewDataset.paired_labels`).
     DimTooLargeError
         If ``class_count - 1`` is 0: one class has no discriminant direction.
     """
     if ds.view_count != 2:
         raise ValueError(f"needs exactly 2 views, got {ds.view_count}")
-    v1, v2 = ds.views
-    if v1.n != v2.n:
-        raise UnpairedViewsError(f"paired views required: {v1.n} vs {v2.n} samples")
-    if not np.array_equal(v1.labels, v2.labels):
-        raise UnpairedViewsError("paired views must share one label sequence")
+    labels = ds.paired_labels()
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if ds.class_count < 2:
         raise DimTooLargeError(f"dim {dim} exceeds class_count - 1 = {ds.class_count - 1}")
+    v1, v2 = ds.views
     cca = cca_fit(v1.features, v2.features)
     lda_dim = min(dim, ds.class_count - 1)
     projections = []
     for view, w_cca in ((v1, cca.wx), (v2, cca.wy)):
         scores = (view.features - view.features.mean(axis=0)) @ w_cca
-        w_lda = _lda_directions(scores, view.labels, lda_dim)
+        w_lda = _lda_directions(scores, labels, lda_dim)
         projections.append(w_cca @ w_lda)
     return LinearProjector(method="cca-lda", projections=tuple(projections))
 
@@ -212,12 +218,7 @@ def nipals_pls(x, y, dim: int) -> PlsResult:
     UnpairedViewsError
         If the blocks disagree on sample count.
     """
-    xm = np.asarray(x, dtype=np.float64)
-    ym = np.asarray(y, dtype=np.float64)
-    if xm.shape[0] != ym.shape[0]:
-        raise UnpairedViewsError(
-            f"paired blocks required: {xm.shape[0]} vs {ym.shape[0]} samples"
-        )
+    xm, ym = _paired_blocks(x, y)
     n = xm.shape[0]
     cap = min(dim, xm.shape[1], ym.shape[1], n - 1)
     if cap < 1:
@@ -343,13 +344,15 @@ def mvda_fit(
 
 
 def one_hot(labels, class_count: int) -> np.ndarray:
-    """0/1 target matrix of shape (n, class_count) for 1-based labels."""
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.size and (lab.min() < 1 or lab.max() > class_count):
-        raise LabelOutOfRangeError(
-            f"labels must lie in 1..{class_count}, found range "
-            f"[{lab.min()}, {lab.max()}]"
-        )
+    """0/1 target matrix of shape (n, class_count) for 1-based labels.
+
+    Raises
+    ------
+    LengthMismatchError, LabelOutOfRangeError
+        Unless ``labels`` pass :func:`~mvle.dataset.check_labels` as a 1-D
+        array of classes 1..``class_count``.
+    """
+    lab = check_labels(labels, np.size(labels), class_count)
     targets = np.zeros((lab.shape[0], class_count), dtype=np.float64)
     targets[np.arange(lab.shape[0]), lab - 1] = 1.0
     return targets
@@ -423,13 +426,18 @@ def elm_train(
 
     ``a`` then ``b`` are drawn from uniform(-1, 1) on ``default_rng(seed)``;
     a ``Generator`` passed as ``seed`` is drawn from as it stands.
+
+    Raises
+    ------
+    LengthMismatchError, LabelOutOfRangeError
+        If ``x`` is not 2-D, or unless ``labels`` pass
+        :func:`~mvle.dataset.check_labels` with one label per row of ``x``
+        and classes 1..``class_count``.
     """
     xm = np.asarray(x, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
-    if xm.ndim != 2 or xm.shape[0] != lab.shape[0]:
-        raise LengthMismatchError(
-            f"x shape {xm.shape} does not align with {lab.shape[0]} labels"
-        )
+    if xm.ndim != 2:
+        raise LengthMismatchError(f"x must be 2-D, got shape {xm.shape}")
+    lab = check_labels(labels, xm.shape[0], class_count)
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
     return fit_layer(xm, one_hot(lab, class_count), hidden, ridge_lambda,

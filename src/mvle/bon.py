@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassCountMismatchError, KTooLargeError, LabelOutOfRangeError
+from .dataset import check_labels
+from .errors import KTooLargeError
 
 # Distance entries held at a time by ``knn``: its working memory stays near
 # 8 * KNN_CHUNK_ENTRIES bytes whatever the sample count. Kept small because
@@ -127,20 +128,11 @@ def bon_vectors(indices, labels, class_count: int) -> BonMatrix:
 
     Raises
     ------
-    ClassCountMismatchError
-        If a label exceeds ``class_count``.
+    LengthMismatchError, LabelOutOfRangeError
+        Unless ``labels`` pass :func:`~mvle.dataset.check_labels` with one
+        label per row of ``indices`` and classes 1..``class_count``.
     """
-    lab = np.asarray(labels, dtype=np.int64)
-    if lab.ndim != 1 or lab.shape[0] != indices.shape[0]:
-        raise ValueError(
-            f"labels shape {lab.shape} does not match {indices.shape[0]} samples"
-        )
-    if lab.min() < 1:
-        raise LabelOutOfRangeError(f"labels must be >= 1, found {lab.min()}")
-    if lab.max() > class_count:
-        raise ClassCountMismatchError(
-            f"label {lab.max()} exceeds class_count {class_count}"
-        )
+    lab = check_labels(labels, indices.shape[0], class_count)
     neighbor_labels = lab[indices]
     counts = np.zeros((lab.shape[0], class_count), dtype=np.int64)
     for cls in range(1, class_count + 1):

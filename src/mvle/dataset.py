@@ -24,6 +24,40 @@ from .errors import (
 )
 
 
+# Labels are held as int64.
+_LABEL_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_labels(labels, rows: int, class_count: int | None = None) -> np.ndarray:
+    """The package's one label rule: ``labels`` as a 1-D int64 array of
+    ``rows`` classes from 1 to ``class_count``, or to the int64 maximum when
+    ``class_count`` is None.
+
+    Raises
+    ------
+    LengthMismatchError
+        Unless ``labels`` is 1-D and ``rows`` long.
+    LabelOutOfRangeError
+        If a label is not an integer in range: a fraction, NaN, Inf, a
+        boolean or a string is not a label.
+    """
+    lab = np.asarray(labels)
+    if lab.ndim != 1 or lab.shape[0] != rows:
+        raise LengthMismatchError(f"need {rows} labels in a 1-D array, got shape {lab.shape}")
+    high = _LABEL_MAX if class_count is None else class_count
+    if lab.dtype.kind in "iu":
+        ok = (lab >= 1) & (lab <= high)
+    elif lab.dtype.kind == "f":
+        # NaN fails every comparison, and the whole floats below 2**63 cast
+        # to int64 exactly.
+        ok = (lab >= 1) & (lab < high + 1) & (np.floor(lab) == lab)
+    else:
+        raise LabelOutOfRangeError(f"labels must be integers, got {lab.dtype} values")
+    if not ok.all():
+        raise LabelOutOfRangeError(f"label {lab[~ok][0]} is not an integer in 1..{high}")
+    return lab.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class View:
     """One view: a feature matrix with an aligned label vector."""
@@ -37,21 +71,8 @@ class View:
             raise ValueError(f"features must be a nonempty 2-D array, got shape {f.shape}")
         if not np.all(np.isfinite(f)):
             raise ValueError("features contain NaN or Inf")
-        lab = np.asarray(self.labels)
-        if lab.ndim != 1:
-            raise ValueError(f"labels must be 1-D, got shape {lab.shape}")
-        if not np.issubdtype(lab.dtype, np.integer):
-            if not np.all(lab == np.floor(lab)):
-                raise LabelOutOfRangeError("labels must be integers")
-        lab = lab.astype(np.int64)
-        if lab.shape[0] != f.shape[0]:
-            raise LengthMismatchError(
-                f"{f.shape[0]} feature rows but {lab.shape[0]} labels"
-            )
-        if lab.size and lab.min() < 1:
-            raise LabelOutOfRangeError(f"labels must be >= 1, found {lab.min()}")
         object.__setattr__(self, "features", f)
-        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "labels", check_labels(self.labels, f.shape[0]))
 
     @property
     def n(self) -> int:
@@ -75,11 +96,8 @@ class MultiViewDataset:
             raise ValueError("dataset needs at least one view")
         if self.class_count < 1:
             raise ValueError(f"class_count must be >= 1, got {self.class_count}")
-        for i, v in enumerate(views):
-            if v.labels.max() > self.class_count:
-                raise LabelOutOfRangeError(
-                    f"view {i} has label {v.labels.max()} > class_count {self.class_count}"
-                )
+        for v in views:
+            check_labels(v.labels, v.n, self.class_count)
         object.__setattr__(self, "views", views)
 
     @property
@@ -90,25 +108,34 @@ class MultiViewDataset:
     def n_total(self) -> int:
         return sum(v.n for v in self.views)
 
-    def view_data(self, view: int) -> tuple[np.ndarray, np.ndarray]:
-        """Features and labels of 1-based ``view``; view 0 is all views side by side.
+    def paired_labels(self) -> np.ndarray:
+        """The one label sequence of paired views.
 
         Raises
         ------
         UnpairedViewsError
-            If ``view`` is 0 and the views differ in sample count or label
-            sequence.
+            If the views differ in sample count or label sequence.
+        """
+        ns = [v.n for v in self.views]
+        if len(set(ns)) != 1:
+            raise UnpairedViewsError(f"paired views need equal sample counts, got {ns}")
+        first = self.views[0].labels
+        if any(not np.array_equal(v.labels, first) for v in self.views[1:]):
+            raise UnpairedViewsError("paired views need one shared label sequence")
+        return first
+
+    def view_data(self, view: int) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of 1-based ``view``; view 0 is all views side
+        by side, with their :meth:`paired_labels`.
+
+        Raises
+        ------
+        UnpairedViewsError
+            If ``view`` is 0 and the views are not paired.
         """
         if view == 0:
-            ns = [v.n for v in self.views]
-            if len(set(ns)) != 1:
-                raise UnpairedViewsError(
-                    f"views side by side need equal sample counts, got {ns}"
-                )
-            first = self.views[0].labels
-            if any(not np.array_equal(v.labels, first) for v in self.views[1:]):
-                raise UnpairedViewsError("views side by side need one shared label sequence")
-            return np.hstack([v.features for v in self.views]), first
+            labels = self.paired_labels()
+            return np.hstack([v.features for v in self.views]), labels
         return self.views[view - 1].features, self.views[view - 1].labels
 
 
@@ -208,10 +235,6 @@ def _loadtxt_view(features_path, labels_path) -> View | None:
     if labels.shape != (features.shape[0], 1) or labels.min() < 1:
         return None
     return View(features=features, labels=labels[:, 0])
-
-
-# Labels are held as int64.
-_LABEL_MAX = int(np.iinfo(np.int64).max)
 
 
 def _scan_view(features_path, labels_path) -> View:

@@ -94,13 +94,12 @@ def fit(
         Propagated from the neighbor, graph, and eigen stages.
     """
     for view_id, view in enumerate(ds.views):
-        present = np.unique(view.labels)
-        for cls in range(1, ds.class_count + 1):
-            if cls not in present:
-                raise ClassTooSmallError(
-                    f"class {cls} has no samples in view {view_id}; "
-                    "every class must appear in every view"
-                )
+        sizes = np.bincount(view.labels, minlength=ds.class_count + 1)[1:]
+        if not sizes.all():
+            raise ClassTooSmallError(
+                f"class {np.argmin(sizes) + 1} has no samples in view {view_id}; "
+                "every class must appear in every view"
+            )
     n_total = ds.n_total
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")

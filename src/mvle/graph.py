@@ -39,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .bon import BonMatrix
+from .dataset import check_labels
 from .errors import ClassCountMismatchError, IsolatedSampleError, LengthMismatchError
 from .linalg import _BLOCK
 
@@ -149,6 +150,10 @@ def build_weight_graph(
     ------
     ClassCountMismatchError
         If the BON matrices disagree on the number of classes.
+    LengthMismatchError, LabelOutOfRangeError
+        Unless each view's labels pass :func:`~mvle.dataset.check_labels`
+        with one label per BON row and classes 1..c of the BON matrices;
+        also if ``bons`` and ``labels`` differ in length.
     IsolatedSampleError
         If a sample ends up with zero total edge weight; names the first.
     """
@@ -167,14 +172,8 @@ def build_weight_graph(
                 f"view {i} has {b.class_count} classes, view 0 has {class_count}"
             )
 
-    label_parts = []
-    for i, (b, lab) in enumerate(zip(bons, labels)):
-        lab = np.asarray(lab, dtype=np.int64)
-        if lab.shape[0] != b.counts.shape[0]:
-            raise LengthMismatchError(
-                f"view {i}: {b.counts.shape[0]} BON rows but {lab.shape[0]} labels"
-            )
-        label_parts.append(lab)
+    label_parts = [check_labels(lab, b.counts.shape[0], class_count)
+                   for b, lab in zip(bons, labels)]
 
     keyed = np.column_stack(
         [np.vstack([b.counts for b in bons]), np.concatenate(label_parts)]

@@ -13,19 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassTooSmallError, LengthMismatchError
+from .dataset import check_labels
+from .errors import ClassTooSmallError
 
 
 def _check_xy(x, labels) -> tuple[np.ndarray, np.ndarray]:
     xm = np.asarray(x, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
     if xm.ndim != 2 or xm.size == 0:
         raise ValueError(f"need a nonempty 2-D array, got shape {xm.shape}")
-    if lab.ndim != 1 or lab.shape[0] != xm.shape[0]:
-        raise LengthMismatchError(
-            f"{xm.shape[0]} feature rows but {lab.shape[0]} labels"
-        )
-    return xm, lab
+    return xm, check_labels(labels, xm.shape[0])
 
 
 def s_w(x, labels) -> float:
@@ -34,6 +30,9 @@ def s_w(x, labels) -> float:
 
     Raises
     ------
+    LengthMismatchError, LabelOutOfRangeError
+        Unless ``labels`` pass :func:`~mvle.dataset.check_labels` with one
+        label per row of ``x``.
     ClassTooSmallError
         If any class has fewer than 2 samples.
     """
@@ -53,7 +52,14 @@ def s_w(x, labels) -> float:
 
 def s_b(x, labels) -> float:
     """Between-class scatter: class-size-weighted squared distances of class
-    means from the grand mean, divided by (n - 1)."""
+    means from the grand mean, divided by (n - 1).
+
+    Raises
+    ------
+    LengthMismatchError, LabelOutOfRangeError
+        Unless ``labels`` pass :func:`~mvle.dataset.check_labels` with one
+        label per row of ``x``.
+    """
     xm, lab = _check_xy(x, labels)
     n = xm.shape[0]
     if n < 2:
@@ -68,13 +74,16 @@ def s_b(x, labels) -> float:
 
 
 def accuracy(predicted, truth) -> float:
-    """Fraction of positions where the two label vectors agree."""
-    p = np.asarray(predicted, dtype=np.int64)
-    t = np.asarray(truth, dtype=np.int64)
-    if p.ndim != 1 or t.ndim != 1 or p.shape[0] != t.shape[0]:
-        raise LengthMismatchError(
-            f"predicted has shape {p.shape}, truth has shape {t.shape}"
-        )
+    """Fraction of positions where the two label vectors agree.
+
+    Raises
+    ------
+    LengthMismatchError, LabelOutOfRangeError
+        Unless both vectors pass :func:`~mvle.dataset.check_labels`, one
+        label per entry of ``truth``.
+    """
+    t = check_labels(truth, np.size(truth))
+    p = check_labels(predicted, t.shape[0])
     if p.shape[0] == 0:
         raise ValueError("need at least one prediction")
     return float((p == t).mean())

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import ACTIVATIONS, ElmClassifier, elm_predict, elm_train, fit_layer, layer_output
-from .dataset import MultiViewDataset, NormStats, zscore_apply, zscore_fit
+from .dataset import MultiViewDataset, NormStats, check_labels, zscore_apply, zscore_fit
 from .errors import DimMismatchError, LengthMismatchError, ModelFormatError
 
 
@@ -92,17 +92,23 @@ def train(
     norm_stats : NormStats, optional
         Normalization statistics from the embedding fit. When omitted they
         are computed from ``x`` itself.
+
+    Raises
+    ------
+    LengthMismatchError, LabelOutOfRangeError
+        If ``x`` and ``y_view`` differ in row count, or unless ``labels``
+        pass :func:`~mvle.dataset.check_labels` with one label per row of
+        ``x`` and classes 1..``class_count``.
     """
     xm = np.asarray(x, dtype=np.float64)
     ym = np.asarray(y_view, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
     if xm.ndim != 2 or ym.ndim != 2:
         raise ValueError("x and y_view must be 2-D")
-    if xm.shape[0] != ym.shape[0] or xm.shape[0] != lab.shape[0]:
+    if xm.shape[0] != ym.shape[0]:
         raise LengthMismatchError(
-            f"rows disagree: x has {xm.shape[0]}, y_view has {ym.shape[0]}, "
-            f"labels has {lab.shape[0]}"
+            f"rows disagree: x has {xm.shape[0]}, y_view has {ym.shape[0]}"
         )
+    lab = check_labels(labels, xm.shape[0], class_count)
     stats = zscore_fit(xm) if norm_stats is None else norm_stats
     xn = zscore_apply(xm, stats)
     d = xn.shape[1]
@@ -258,7 +264,8 @@ def from_json(text: str | bytes) -> MhonModel:
         that is not an integer >= 0, a ``class_count``, ``h1`` or ``h2``
         that is not an integer >= 1, a ``ridge_lambda`` that is not a finite
         positive number, arrays whose shapes disagree with each other or
-        with ``h1``, ``h2`` and ``class_count``, or a NaN or Inf.
+        with ``h1``, ``h2`` and ``class_count``, a NaN or Inf, or a
+        negative ``std`` entry.
     """
     try:
         doc = json.loads(text)
@@ -325,6 +332,10 @@ def _check_shapes(model: MhonModel) -> None:
             )
         if not np.all(np.isfinite(array)):
             raise ModelFormatError(f"{name} contains NaN or Inf")
+    for block in _STATS:
+        # zscore_apply divides by a zero std's 1, but by a negative one as is.
+        if np.any(getattr(model, block).std < 0):
+            raise ModelFormatError(f"{block}.std holds a negative entry")
 
 
 def save_model(model: MhonModel, path) -> None:

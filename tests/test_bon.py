@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist
 
 from mvle import bon as bon_mod
 from mvle.bon import bon_vectors, knn
-from mvle.errors import ClassCountMismatchError, KTooLargeError
+from mvle.errors import KTooLargeError, LabelOutOfRangeError
 from oracle import label_set, pairwise_distance
 
 
@@ -244,5 +244,5 @@ class TestBonVectors:
     def test_label_above_class_count(self):
         x = np.zeros((4, 2))
         labels = np.array([1, 2, 3, 4])
-        with pytest.raises(ClassCountMismatchError):
+        with pytest.raises(LabelOutOfRangeError):
             bon_vectors(knn(x, 2), labels, 3)

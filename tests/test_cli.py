@@ -676,6 +676,8 @@ MODEL_DEFECTS = {
     "b-out-vs-class-count": lambda doc: doc.update(class_count=doc["class_count"] + 1),
     "nan-in-b-out": lambda doc: doc["weights"]["b_out"]["data"].__setitem__(0, float("nan")),
     "inf-in-norm-stats": lambda doc: doc["norm_stats"]["std"].__setitem__(0, float("inf")),
+    "negative-norm-stats-std": lambda doc: doc["norm_stats"]["std"].__setitem__(0, -1.0),
+    "negative-guide-stats-std": lambda doc: doc["guide_stats"]["std"].__setitem__(0, -1.0),
     "class-count-fraction": lambda doc: doc.update(class_count=4.7),
     "view-id-bool": lambda doc: doc.update(view_id=True),
     "view-id-negative": lambda doc: doc.update(view_id=-3),
