@@ -358,18 +358,20 @@ def one_hot(labels, class_count: int) -> np.ndarray:
     return targets
 
 
-def _softsign(x: np.ndarray) -> np.ndarray:
-    """``x / (1 + |x|)`` with one temporary."""
+def _softsign(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x / (1 + |x|)`` with one temporary, written into ``out`` when given
+    (``out=x`` overwrites the input)."""
     d = np.abs(x, out=np.empty(np.shape(x)))
     d += 1.0
-    return np.divide(x, d, out=d)
+    return np.divide(x, d, out=d if out is None else out)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))`` with one temporary, the formula of
-    ``scipy.special.expit``. Below x = -709.78, ``exp(-x)`` overflows to inf
-    and the result is exactly 0, as there."""
-    y = np.negative(x, out=np.empty(np.shape(x)))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(-x))``, the formula of ``scipy.special.expit``, in one
+    buffer: a new one, or ``out`` when given (``out=x`` overwrites the
+    input). Below x = -709.78, ``exp(-x)`` overflows to inf and the result
+    is exactly 0, as there."""
+    y = np.negative(x, out=np.empty(np.shape(x)) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(y, out=y)
     y += 1.0
@@ -377,7 +379,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 #: Hidden-layer activations selectable by name. The ELM uses sigmoid; MHON's
-#: guide layer takes ``MhonHyper.activation``, softsign by default.
+#: guide layer takes ``MhonHyper.activation``, softsign by default. Each takes
+#: ``out=`` as a ufunc does, so :func:`_hidden` evaluates a layer in place.
 ACTIVATIONS = {
     "softsign": _softsign,
     "sigmoid": _sigmoid,
@@ -396,21 +399,31 @@ class ElmClassifier:
     activation: str
 
 
+def _hidden(x: np.ndarray, a: np.ndarray, b: np.ndarray, activation: str) -> np.ndarray:
+    """The hidden matrix ``activation(x @ a + b)``, evaluated in the one
+    buffer ``x @ a`` allocates: the same operations in the same order as
+    the plain formula, so the same bits."""
+    h = x @ a
+    h += b
+    return ACTIVATIONS[activation](h, out=h)
+
+
 def fit_layer(
     x: np.ndarray, targets: np.ndarray, hidden: int, ridge_lambda: float,
     rng: np.random.Generator, activation: str,
 ) -> ElmClassifier:
     """Draw ``a`` then ``b`` from uniform(-1, 1) on ``rng``, and ridge-solve
-    the readout of the hidden layer onto ``targets``."""
+    the readout of the hidden layer (:func:`_hidden`) onto ``targets``."""
     a = rng.uniform(-1.0, 1.0, size=(x.shape[1], hidden))
     b = rng.uniform(-1.0, 1.0, size=hidden)
-    h = ACTIVATIONS[activation](x @ a + b)
+    h = _hidden(x, a, b, activation)
     return ElmClassifier(a, b, ridge_solve(h, targets, ridge_lambda), activation)
 
 
 def layer_output(layer: ElmClassifier, x: np.ndarray) -> np.ndarray:
-    """``activation(x @ a + b) @ beta``."""
-    return ACTIVATIONS[layer.activation](x @ layer.a + layer.b) @ layer.beta
+    """``activation(x @ a + b) @ beta``, the hidden matrix evaluated in one
+    buffer by :func:`_hidden`."""
+    return _hidden(x, layer.a, layer.b, layer.activation) @ layer.beta
 
 
 def elm_train(

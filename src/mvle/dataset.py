@@ -287,16 +287,23 @@ def _scan_view(features_path, labels_path) -> View:
     return View(features=np.array(rows, dtype=np.float64), labels=np.array(labels, dtype=np.int64))
 
 
+#: Rows :func:`write_matrix_csv` turns into Python floats at a time, so a
+#: long matrix never holds more than this many rows of float objects.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_matrix_csv(matrix, path) -> None:
     """Write the rows of a float matrix as CSV lines.
 
     Floats are written with ``repr``, the shortest decimal that recovers the
     same binary value, so identical arrays always produce identical bytes.
     """
+    m = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+        for start in range(0, m.shape[0], _CSV_BLOCK_ROWS):
+            for row in m[start:start + _CSV_BLOCK_ROWS].tolist():
+                fh.write(",".join(map(repr, row)))
+                fh.write("\n")
 
 
 def write_view_csv(view: View, features_path, labels_path) -> None:

@@ -179,20 +179,26 @@ def embed(model: MhonModel, x) -> np.ndarray:
     return layer_output(model.guide, zscore_apply(xm, model.norm_stats))
 
 
-#: Rows :func:`predict` labels at a time, so its hidden-layer temporaries stay
-#: a few MB however many rows it is given.
-PREDICT_BLOCK_ROWS = 4096
+#: Hidden entries (rows times the wider layer's units) :func:`predict`
+#: evaluates at a time, so its hidden matrices stay 2 MB each whatever the
+#: width: 1024 rows at the default h2 = 256, fewer for a wider model.
+PREDICT_BLOCK_ENTRIES = 1 << 18
 
 
 def predict(model: MhonModel, x) -> np.ndarray:
     """Predicted 1-based labels: the head's :func:`~mvle.baselines.elm_predict`
-    on the standardized guided coordinates, one block of rows at a time."""
+    on the standardized guided coordinates, one block of rows at a time.
+
+    A block holds ``PREDICT_BLOCK_ENTRIES // max(h1, h2)`` rows (at least
+    one), so memory is bounded by the layers' width as well as the rows.
+    """
     xm = np.asarray(x, dtype=np.float64)
     _check_width(model, xm)
+    rows = max(1, PREDICT_BLOCK_ENTRIES // max(model.guide.a.shape[1], model.head.a.shape[1]))
     # max(n, 1): zero rows still make one (empty) block.
     labels = []
-    for start in range(0, max(xm.shape[0], 1), PREDICT_BLOCK_ROWS):
-        z = embed(model, xm[start:start + PREDICT_BLOCK_ROWS])
+    for start in range(0, max(xm.shape[0], 1), rows):
+        z = embed(model, xm[start:start + rows])
         labels.append(elm_predict(model.head, zscore_apply(z, model.guide_stats)))
     return np.concatenate(labels)
 

@@ -20,7 +20,7 @@ from mvle.errors import (
     UnpairedViewsError,
     VcDimMismatchError,
 )
-from mvle.linalg import SCATTER_REG, _fix_signs
+from mvle.linalg import SCATTER_REG, _fix_signs, ridge_solve
 from oracle import nipals_weights
 
 
@@ -449,6 +449,47 @@ class TestElm:
         clf = bl.elm_train(rng.normal(size=(10, 4)), np.tile([1, 2], 5), 2)
         with pytest.raises(DimMismatchError):
             bl.elm_predict(clf, np.zeros((3, 5)))
+
+
+def bits(a):
+    """The int64 view of a float64 array: equal only if every bit is."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def spread_rows(seed, cols):
+    """Rows at scales 1e-8, 1 and 1e3, so pre-activations reach every
+    regime, the sigmoid's underflow below -709.78 included."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(scale=s, size=(40, cols)) for s in (1e-8, 1.0, 1e3)])
+
+
+@pytest.mark.parametrize("name", sorted(bl.ACTIVATIONS))
+class TestHiddenLayerInPlace:
+    """The layer evaluated in one buffer equals the plain formula bit for bit."""
+
+    def test_layer_output_is_the_plain_formula(self, name):
+        x = spread_rows(53, 7)
+        layer = bl.fit_layer(x, np.ones((x.shape[0], 3)), 64, 0.1, np.random.default_rng(4), name)
+        want = bl.ACTIVATIONS[name](x @ layer.a + layer.b) @ layer.beta
+        assert np.array_equal(bits(bl.layer_output(layer, x)), bits(want))
+
+    def test_fit_layer_solves_the_plain_hidden_matrix(self, name):
+        x = spread_rows(54, 7)
+        targets = np.random.default_rng(55).normal(size=(x.shape[0], 3))
+        layer = bl.fit_layer(x, targets, 64, 0.1, np.random.default_rng(4), name)
+        rng = np.random.default_rng(4)
+        a = rng.uniform(-1.0, 1.0, size=(7, 64))
+        b = rng.uniform(-1.0, 1.0, size=64)
+        assert np.array_equal(layer.a, a) and np.array_equal(layer.b, b)
+        want = ridge_solve(bl.ACTIVATIONS[name](x @ a + b), targets, 0.1)
+        assert np.array_equal(bits(layer.beta), bits(want))
+
+    def test_out_is_the_input_buffer(self, name):
+        h = spread_rows(56, 9)
+        want = bl.ACTIVATIONS[name](h)
+        got = bl.ACTIVATIONS[name](h, out=h)
+        assert got is h
+        assert np.array_equal(bits(h), bits(want))
 
 
 class TestProjectorCommon:

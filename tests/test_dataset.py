@@ -159,6 +159,18 @@ class TestCsv:
         assert np.array_equal(back.labels, view.labels)
 
 
+def test_matrix_csv_is_the_repr_of_each_float(tmp_path):
+    # Two whole blocks and a part of one, with every kind of float, against
+    # the per-scalar reference; an integer matrix is written as floats too.
+    rng = np.random.default_rng(46)
+    m = rng.normal(size=(2 * dataset._CSV_BLOCK_ROWS + 5, 6)) * 10.0 ** rng.integers(-300, 300, 6)
+    m[3] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.0**53 + 2]
+    for matrix in (m, np.arange(12).reshape(4, 3), m[:0]):
+        dataset.write_matrix_csv(matrix, tmp_path / "m.csv")
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)
+        assert (tmp_path / "m.csv").read_text(encoding="utf-8") == want
+
+
 def csv_outcome(directory, features, labels):
     """What :func:`load_view_csv` makes of the two file texts (str or bytes).
 

@@ -302,18 +302,46 @@ class TestEmbedPredict:
         assert 2 in predict(trained, x) and 2 not in predict(tied, x)
 
 
+def block_rows(model):
+    """Rows of one :func:`predict` block of ``model``."""
+    return max(1, mhon.PREDICT_BLOCK_ENTRIES // max(model.hyper.h1, model.hyper.h2))
+
+
+def predict_peak(model, x):
+    """Peak bytes tracemalloc sees while ``predict`` labels ``x``."""
+    tracemalloc.start()
+    try:
+        predict(model, x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBlockedPredict:
     @pytest.fixture(scope="class")
     def model(self):
         x, targets, labels, c = small_problem(seed=12, n_per=40, classes=4, d=20, dim=8)
         return train(x, targets, labels, c)
 
-    def test_blocks_equal_one_full_argmax(self, model):
-        x = np.random.default_rng(13).normal(size=(2 * mhon.PREDICT_BLOCK_ROWS + 17, 20))
+    @pytest.fixture(scope="class")
+    def wide_model(self):
+        x, targets, labels, c = small_problem(seed=12, n_per=40, classes=4, d=20, dim=8)
+        return train(x, targets, labels, c, hyper=MhonHyper(h2=2048))
+
+    @staticmethod
+    def assert_blocks_equal_one_full_argmax(model):
+        x = np.random.default_rng(13).normal(size=(2 * block_rows(model) + 17, 20))
         full = np.argmax(head_scores(model, x), axis=1).astype(np.int64) + 1
         got = predict(model, x)
         assert got.dtype == np.int64
         assert np.array_equal(got, full)
+
+    def test_blocks_equal_one_full_argmax(self, model):
+        self.assert_blocks_equal_one_full_argmax(model)
+
+    def test_wide_blocks_equal_one_full_argmax(self, wide_model):
+        assert block_rows(wide_model) == 128
+        self.assert_blocks_equal_one_full_argmax(wide_model)
 
     def test_zero_rows_give_empty_labels(self, model):
         got = predict(model, np.zeros((0, 20)))
@@ -327,15 +355,18 @@ class TestBlockedPredict:
 
     def test_peak_memory_bounded_by_block(self, model):
         # One 20000-row pass would hold several 20000 x h2 float arrays at once,
-        # about 83 MB; a 4096-row block keeps the peak near 17 MB.
+        # about 83 MB; a block keeps the peak to a few MB.
         x = np.random.default_rng(14).normal(size=(20000, 20))
-        tracemalloc.start()
-        try:
-            predict(model, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 25e6
+        assert predict_peak(model, x) < 25e6
+
+    @pytest.mark.parametrize("fixture, rows", [("model", 20000), ("wide_model", 8192)])
+    def test_peak_memory_bounded_by_width(self, request, fixture, rows):
+        # Blocks of 2**18 hidden entries hold each hidden matrix to 2 MB, at
+        # h2 = 256 (1024 rows) and at h2 = 2048 (128 rows) alike; 4096-row
+        # blocks peaked at 17.5 and 134.8 MB.
+        model = request.getfixturevalue(fixture)
+        x = np.random.default_rng(14).normal(size=(rows, 20))
+        assert predict_peak(model, x) < 6e6
 
 
 class TestFidelityProperties:
