@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiViewDataset, check_labels
+from .dataset import MultiViewDataset, check_labels, check_matrix
 from .errors import (
-    DimMismatchError,
     DimTooLargeError,
-    LengthMismatchError,
     NoConvergenceError,
     UnpairedViewsError,
     VcDimMismatchError,
@@ -46,13 +44,18 @@ class LinearProjector:
         return self.projections[0].shape[1]
 
     def transform(self, view_index: int, x) -> np.ndarray:
-        xm = np.asarray(x, dtype=np.float64)
+        """``x`` projected by the map of 0-based ``view_index``.
+
+        Raises
+        ------
+        DimMismatchError
+            Unless ``x`` is 2-D with one column per row of the map.
+        ValueError
+            If ``x`` holds NaN or Inf (:func:`~mvle.dataset.check_matrix`,
+            apply side).
+        """
         w = self.projections[view_index]
-        if xm.ndim != 2 or xm.shape[1] != w.shape[0]:
-            raise DimMismatchError(
-                f"view {view_index} expects {w.shape[0]} features, got shape {xm.shape}"
-            )
-        return xm @ w
+        return check_matrix(x, f"view {view_index}", w.shape[0]) @ w
 
 
 def _class_scatters(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,13 +84,16 @@ def lda_fit(x, labels, dim: int) -> LinearProjector:
 
     Raises
     ------
+    ValueError
+        Unless ``x`` passes :func:`~mvle.dataset.check_matrix` on the fit
+        side.
     LengthMismatchError, LabelOutOfRangeError
         Unless ``labels`` pass :func:`~mvle.dataset.check_labels` with one
         label per row of ``x``.
     DimTooLargeError
         If ``dim`` exceeds ``class_count - 1``, the discriminant rank.
     """
-    xm = np.asarray(x, dtype=np.float64)
+    xm = check_matrix(x, "x")
     lab = check_labels(labels, xm.shape[0])
     c = np.unique(lab).size
     if dim < 1:
@@ -117,10 +123,10 @@ def _inv_sqrt_psd(a: np.ndarray) -> np.ndarray:
 
 
 def _paired_blocks(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``y`` as float arrays; ``UnpairedViewsError`` unless their
-    row counts agree."""
-    xm = np.asarray(x, dtype=np.float64)
-    ym = np.asarray(y, dtype=np.float64)
+    """``x`` and ``y`` through :func:`~mvle.dataset.check_matrix` on the fit
+    side; ``UnpairedViewsError`` unless their row counts agree."""
+    xm = check_matrix(x, "x")
+    ym = check_matrix(y, "y")
     if xm.shape[0] != ym.shape[0]:
         raise UnpairedViewsError(
             f"paired blocks required: {xm.shape[0]} vs {ym.shape[0]} samples"
@@ -137,6 +143,9 @@ def cca_fit(x, y, kappa: float = CCA_KAPPA) -> CcaResult:
 
     Raises
     ------
+    ValueError
+        Unless ``x`` and ``y`` pass :func:`~mvle.dataset.check_matrix` on
+        the fit side.
     UnpairedViewsError
         If the blocks disagree on sample count.
     """
@@ -213,6 +222,9 @@ def nipals_pls(x, y, dim: int) -> PlsResult:
 
     Raises
     ------
+    ValueError
+        Unless ``x`` and ``y`` pass :func:`~mvle.dataset.check_matrix` on
+        the fit side.
     NoConvergenceError
         If no component can be extracted.
     UnpairedViewsError
@@ -442,14 +454,14 @@ def elm_train(
 
     Raises
     ------
+    ValueError
+        Unless ``x`` passes :func:`~mvle.dataset.check_matrix` on the fit
+        side.
     LengthMismatchError, LabelOutOfRangeError
-        If ``x`` is not 2-D, or unless ``labels`` pass
-        :func:`~mvle.dataset.check_labels` with one label per row of ``x``
-        and classes 1..``class_count``.
+        Unless ``labels`` pass :func:`~mvle.dataset.check_labels` with one
+        label per row of ``x`` and classes 1..``class_count``.
     """
-    xm = np.asarray(x, dtype=np.float64)
-    if xm.ndim != 2:
-        raise LengthMismatchError(f"x must be 2-D, got shape {xm.shape}")
+    xm = check_matrix(x, "x")
     lab = check_labels(labels, xm.shape[0], class_count)
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
@@ -459,10 +471,15 @@ def elm_train(
 
 def elm_predict(clf: ElmClassifier, x) -> np.ndarray:
     """Predicted 1-based labels: the argmax of the layer output; ties
-    resolve to the lowest class id."""
-    xm = np.asarray(x, dtype=np.float64)
-    if xm.ndim != 2 or xm.shape[1] != clf.a.shape[0]:
-        raise DimMismatchError(
-            f"classifier expects {clf.a.shape[0]} features, got shape {xm.shape}"
-        )
+    resolve to the lowest class id.
+
+    Raises
+    ------
+    DimMismatchError
+        Unless ``x`` is 2-D with the classifier's input width.
+    ValueError
+        If ``x`` holds NaN or Inf (:func:`~mvle.dataset.check_matrix`,
+        apply side).
+    """
+    xm = check_matrix(x, "classifier", clf.a.shape[0])
     return np.argmax(layer_output(clf, xm), axis=1).astype(np.int64) + 1

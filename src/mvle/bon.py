@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_labels
+from .dataset import check_labels, check_matrix
 from .errors import KTooLargeError
 
 # Distance entries held at a time by ``knn``: its working memory stays near
@@ -70,19 +70,18 @@ def knn(x, k: int) -> np.ndarray:
     KTooLargeError
         Unless ``1 <= k <= n - 1``.
     ValueError
-        If ``x`` holds NaN or Inf, or rows so large their squared norms
-        overflow.
+        Unless ``x`` passes :func:`~mvle.dataset.check_matrix` on the fit
+        side. Finite rows can still be too large to square: if a centred
+        row's squared norm overflows to Inf, that is a ValueError too.
     """
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"need a nonempty 2-D array, got shape {m.shape}")
+    m = check_matrix(x, "x")
     n, d = m.shape
     if not 1 <= k <= n - 1:
         raise KTooLargeError(f"k must satisfy 1 <= k <= {n - 1}, got {k}")
     centred = m - m.mean(axis=0)
     norms2 = np.einsum("ij,ij->i", centred, centred)
     if not np.all(np.isfinite(norms2)):
-        raise ValueError("x contains NaN or Inf, or rows too large to square")
+        raise ValueError("x has rows too large to square")
     norms = np.sqrt(norms2)
     slack = (d + 4) * _EPS * (norms + norms.max()) ** 2
     features = m.T.copy()

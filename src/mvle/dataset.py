@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ClassTooSmallError,
+    DimMismatchError,
     LabelOutOfRangeError,
     LengthMismatchError,
     NonNumericCellError,
@@ -58,19 +59,50 @@ def check_labels(labels, rows: int, class_count: int | None = None) -> np.ndarra
     return lab.astype(np.int64)
 
 
+def check_matrix(x, name: str, cols: int | None = None) -> np.ndarray:
+    """The package's one feature-matrix rule: ``x`` as a 2-D float64 array
+    whose values are all finite.
+
+    On the fit side, ``cols`` None, the array must be nonempty, and ``name``
+    names it. On the apply side it must have exactly ``cols`` columns and
+    may have no rows, and ``name`` names what expects them.
+
+    Raises
+    ------
+    ValueError
+        On the fit side unless ``x`` is a nonempty 2-D array, and on either
+        side if it holds NaN or Inf.
+    DimMismatchError
+        On the apply side unless ``x`` is 2-D with ``cols`` columns.
+    """
+    m = np.asarray(x, dtype=np.float64)
+    if cols is None:
+        if m.ndim != 2 or m.size == 0:
+            raise ValueError(f"{name} must be a nonempty 2-D array, got shape {m.shape}")
+    elif m.ndim != 2 or m.shape[1] != cols:
+        raise DimMismatchError(f"{name} expects {cols} features, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name}: NaN or Inf in a matrix of shape {m.shape}")
+    return m
+
+
 @dataclass(frozen=True)
 class View:
-    """One view: a feature matrix with an aligned label vector."""
+    """One view: a feature matrix with an aligned label vector.
+
+    Raises
+    ------
+    ValueError
+        Unless ``features`` pass :func:`check_matrix` on the fit side.
+    LengthMismatchError, LabelOutOfRangeError
+        Unless ``labels`` pass :func:`check_labels` with one label per row.
+    """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        if f.ndim != 2 or f.size == 0:
-            raise ValueError(f"features must be a nonempty 2-D array, got shape {f.shape}")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("features contain NaN or Inf")
+        f = check_matrix(self.features, "features")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", check_labels(self.labels, f.shape[0]))
 
@@ -148,18 +180,31 @@ class NormStats:
 
 
 def zscore_fit(x) -> NormStats:
-    """Compute per-feature mean and population std (ddof=0) of ``x``."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"need a nonempty 2-D array, got shape {m.shape}")
+    """Compute per-feature mean and population std (ddof=0) of ``x``.
+
+    Raises
+    ------
+    ValueError
+        Unless ``x`` passes :func:`check_matrix` on the fit side and has at
+        least 2 rows.
+    """
+    m = check_matrix(x, "x")
     if m.shape[0] < 2:
         raise ValueError("need at least 2 rows to estimate spread")
     return NormStats(mean=m.mean(axis=0), std=m.std(axis=0))
 
 
 def zscore_apply(x, stats: NormStats) -> np.ndarray:
-    """Center and scale ``x`` with stored stats; zero-std features divide by 1."""
-    m = np.asarray(x, dtype=np.float64)
+    """Center and scale ``x`` with stored stats; zero-std features divide by 1.
+
+    Raises
+    ------
+    DimMismatchError
+        Unless ``x`` is 2-D with one column per feature of ``stats``.
+    ValueError
+        If ``x`` holds NaN or Inf (:func:`check_matrix`, apply side).
+    """
+    m = check_matrix(x, "normalization", stats.mean.shape[0])
     safe = np.where(stats.std == 0.0, 1.0, stats.std)
     return (m - stats.mean) / safe
 
@@ -224,13 +269,13 @@ def _loadtxt_view(features_path, labels_path) -> View | None:
                 features = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
                                       dtype=np.float64)
             # The scanner reports bad features before it opens the labels.
-            if features.size == 0 or not np.isfinite(features).all():
-                return None
+            check_matrix(features, "features")
             # ndmin=2 keeps a one-line "1,2" labels file (1, 2), not (2,).
             with open(labels_path, encoding="utf-8") as fh:
                 labels = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
                                     dtype=np.int64)
-    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+    # UnicodeDecodeError is a ValueError, as is check_matrix's rejection.
+    except (ValueError, Warning):
         return None
     if labels.shape != (features.shape[0], 1) or labels.min() < 1:
         return None
@@ -338,7 +383,7 @@ def split(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     train_views = []
     test_views = []
-    for view_id, view in enumerate(ds.views):
+    for view_id, view in enumerate(ds.views, start=1):
         train_idx: list[np.ndarray] = []
         test_idx: list[np.ndarray] = []
         for cls, idx in enumerate(_class_indices(view.labels, ds.class_count), start=1):

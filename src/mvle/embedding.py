@@ -93,7 +93,7 @@ def fit(
     KTooLargeError, IsolatedSampleError, SingularDegreeError
         Propagated from the neighbor, graph, and eigen stages.
     """
-    for view_id, view in enumerate(ds.views):
+    for view_id, view in enumerate(ds.views, start=1):
         sizes = np.bincount(view.labels, minlength=ds.class_count + 1)[1:]
         if not sizes.all():
             raise ClassTooSmallError(

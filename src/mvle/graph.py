@@ -166,10 +166,10 @@ def build_weight_graph(
     if t <= 0:
         raise ValueError(f"heat bandwidth t must be positive, got {t}")
     class_count = bons[0].class_count
-    for i, b in enumerate(bons):
+    for i, b in enumerate(bons, start=1):
         if b.class_count != class_count:
             raise ClassCountMismatchError(
-                f"view {i} has {b.class_count} classes, view 0 has {class_count}"
+                f"view {i} has {b.class_count} classes, view 1 has {class_count}"
             )
 
     label_parts = [check_labels(lab, b.counts.shape[0], class_count)

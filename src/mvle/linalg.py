@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import check_matrix
 from .errors import (
     NoConvergenceError,
     NonSymmetricError,
@@ -83,18 +84,6 @@ class EigenResult:
     values: np.ndarray
     vectors: np.ndarray
     solver: str
-
-
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert ``a`` to a 2-D finite float64 array."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains NaN or Inf")
-    return m
 
 
 def _lead_signs(vectors: np.ndarray) -> np.ndarray:
@@ -357,14 +346,16 @@ def ridge_solve(h, t, lam: float) -> np.ndarray:
     Raises
     ------
     ValueError
-        Unless ``lam > 0``; a NaN ``lam`` is rejected too.
+        Unless ``h`` and ``t`` (as a column when a vector) pass
+        :func:`~mvle.dataset.check_matrix` on the fit side with equal row
+        counts, and unless ``lam > 0``; a NaN ``lam`` is rejected too.
     SingularMatrixError
         If LAPACK finds the regularized system singular.
     """
-    hm = as_matrix(h, "h")
+    hm = check_matrix(h, "h")
     tv = np.asarray(t, dtype=np.float64)
     single = tv.ndim == 1
-    tm = as_matrix(tv[:, None] if single else tv, "t")
+    tm = check_matrix(tv[:, None] if single else tv, "t")
     if tm.shape[0] != hm.shape[0]:
         raise ValueError(
             f"h has {hm.shape[0]} rows but t has {tm.shape[0]}"

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_labels
+from .dataset import check_labels, check_matrix
 from .errors import ClassTooSmallError
-
-
-def _check_xy(x, labels) -> tuple[np.ndarray, np.ndarray]:
-    xm = np.asarray(x, dtype=np.float64)
-    if xm.ndim != 2 or xm.size == 0:
-        raise ValueError(f"need a nonempty 2-D array, got shape {xm.shape}")
-    return xm, check_labels(labels, xm.shape[0])
 
 
 def s_w(x, labels) -> float:
@@ -30,13 +23,17 @@ def s_w(x, labels) -> float:
 
     Raises
     ------
+    ValueError
+        Unless ``x`` passes :func:`~mvle.dataset.check_matrix` on the fit
+        side.
     LengthMismatchError, LabelOutOfRangeError
         Unless ``labels`` pass :func:`~mvle.dataset.check_labels` with one
         label per row of ``x``.
     ClassTooSmallError
         If any class has fewer than 2 samples.
     """
-    xm, lab = _check_xy(x, labels)
+    xm = check_matrix(x, "x")
+    lab = check_labels(labels, xm.shape[0])
     classes = np.unique(lab)
     total = 0.0
     for cls in classes:
@@ -56,11 +53,15 @@ def s_b(x, labels) -> float:
 
     Raises
     ------
+    ValueError
+        Unless ``x`` passes :func:`~mvle.dataset.check_matrix` on the fit
+        side.
     LengthMismatchError, LabelOutOfRangeError
         Unless ``labels`` pass :func:`~mvle.dataset.check_labels` with one
         label per row of ``x``.
     """
-    xm, lab = _check_xy(x, labels)
+    xm = check_matrix(x, "x")
+    lab = check_labels(labels, xm.shape[0])
     n = xm.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")

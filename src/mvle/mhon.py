@@ -23,8 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import ACTIVATIONS, ElmClassifier, elm_predict, elm_train, fit_layer, layer_output
-from .dataset import MultiViewDataset, NormStats, check_labels, zscore_apply, zscore_fit
-from .errors import DimMismatchError, LengthMismatchError, ModelFormatError
+from .dataset import (
+    MultiViewDataset, NormStats, check_labels, check_matrix, zscore_apply, zscore_fit,
+)
+from .errors import LengthMismatchError, ModelFormatError
 
 
 @dataclass(frozen=True)
@@ -95,15 +97,18 @@ def train(
 
     Raises
     ------
+    ValueError
+        Unless ``x`` and ``y_view`` pass :func:`~mvle.dataset.check_matrix`
+        on the fit side.
     LengthMismatchError, LabelOutOfRangeError
         If ``x`` and ``y_view`` differ in row count, or unless ``labels``
         pass :func:`~mvle.dataset.check_labels` with one label per row of
         ``x`` and classes 1..``class_count``.
+    DimMismatchError
+        If ``norm_stats`` are of another width than ``x``.
     """
-    xm = np.asarray(x, dtype=np.float64)
-    ym = np.asarray(y_view, dtype=np.float64)
-    if xm.ndim != 2 or ym.ndim != 2:
-        raise ValueError("x and y_view must be 2-D")
+    xm = check_matrix(x, "x")
+    ym = check_matrix(y_view, "y_view")
     if xm.shape[0] != ym.shape[0]:
         raise LengthMismatchError(
             f"rows disagree: x has {xm.shape[0]}, y_view has {ym.shape[0]}"
@@ -165,17 +170,18 @@ def train_view(
     return train(x, y, labels, ds.class_count, stats, hyper, view_id=view)
 
 
-def _check_width(model: MhonModel, xm: np.ndarray) -> None:
-    if xm.ndim != 2 or xm.shape[1] != model.input_dim:
-        raise DimMismatchError(
-            f"model expects {model.input_dim} features, got shape {xm.shape}"
-        )
-
-
 def embed(model: MhonModel, x) -> np.ndarray:
-    """Out-of-sample embedding: guided coordinates for new raw samples."""
-    xm = np.asarray(x, dtype=np.float64)
-    _check_width(model, xm)
+    """Out-of-sample embedding: guided coordinates for new raw samples.
+
+    Raises
+    ------
+    DimMismatchError
+        Unless ``x`` is 2-D with the model's input width.
+    ValueError
+        If ``x`` holds NaN or Inf (:func:`~mvle.dataset.check_matrix`,
+        apply side).
+    """
+    xm = check_matrix(x, "model", model.input_dim)
     return layer_output(model.guide, zscore_apply(xm, model.norm_stats))
 
 
@@ -191,9 +197,16 @@ def predict(model: MhonModel, x) -> np.ndarray:
 
     A block holds ``PREDICT_BLOCK_ENTRIES // max(h1, h2)`` rows (at least
     one), so memory is bounded by the layers' width as well as the rows.
+
+    Raises
+    ------
+    DimMismatchError
+        Unless ``x`` is 2-D with the model's input width.
+    ValueError
+        If ``x`` holds NaN or Inf (:func:`~mvle.dataset.check_matrix`,
+        apply side).
     """
-    xm = np.asarray(x, dtype=np.float64)
-    _check_width(model, xm)
+    xm = check_matrix(x, "model", model.input_dim)
     rows = max(1, PREDICT_BLOCK_ENTRIES // max(model.guide.a.shape[1], model.head.a.shape[1]))
     # max(n, 1): zero rows still make one (empty) block.
     labels = []

@@ -184,6 +184,12 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn(x, 2)
 
+    def test_rows_too_large_to_square_rejected(self):
+        # Finite, so the matrix rule passes them, but |row|^2 overflows.
+        x = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="too large to square"):
+            knn(x, 1)
+
     def test_k_too_large(self):
         x = np.zeros((4, 2))
         with pytest.raises(KTooLargeError):

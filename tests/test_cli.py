@@ -336,7 +336,7 @@ def _empty_test_view(data):
     # ceil(0.9 * 2) = 2: both samples of each class train, none is left to test
     argv = ["benchmark", "--samples-per-class", "2", "--train-fraction", "0.9",
             "--repeats", "1"]
-    return argv, "ClassTooSmallError", "0.9 leaves no test sample in view 0"
+    return argv, "ClassTooSmallError", "0.9 leaves no test sample in view 1"
 
 
 def _label_beyond_int64(data):

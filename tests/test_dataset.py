@@ -398,10 +398,18 @@ class TestSplit:
         with pytest.raises(ClassTooSmallError):
             split(ds, 0.5, seed=0)
 
+    def test_class_too_small_names_its_view_from_1(self):
+        rng = np.random.default_rng(59)
+        v1 = View(rng.normal(size=(4, 2)), np.array([1, 1, 2, 2]))
+        v2 = View(rng.normal(size=(3, 2)), np.array([1, 1, 2]))
+        ds = MultiViewDataset(views=(v1, v2), class_count=2)
+        with pytest.raises(ClassTooSmallError, match=r"class 2 has 1 sample\(s\) in view 2;"):
+            split(ds, 0.5, seed=0)
+
     def test_no_test_sample_left_in_a_view(self):
         # ceil(0.7 * 2) = 2 and ceil(0.7 * 3) = 3: every class trains whole.
         ds = make_dataset(np.random.default_rng(58), [2, 3], 2)
-        with pytest.raises(ClassTooSmallError, match=r"0\.7 .* view 0: .* sizes \[2, 3\]"):
+        with pytest.raises(ClassTooSmallError, match=r"0\.7 .* view 1: .* sizes \[2, 3\]"):
             split(ds, 0.7, seed=0)
         # ceil(0.7 * 4) = 3: class 1 has no test sample, but its view has one.
         ds = make_dataset(np.random.default_rng(58), [2, 4], 2)

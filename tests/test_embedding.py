@@ -144,6 +144,18 @@ class TestFit:
         with pytest.raises(ClassTooSmallError):
             fit(ds, k=2, dim=1)
 
+    @pytest.mark.parametrize("view", [1, 2])
+    def test_missing_class_names_its_view_from_1(self, view):
+        # The views are numbered as their files are, from 1; view 0 means
+        # all views side by side.
+        rng = np.random.default_rng(99)
+        whole = View(rng.normal(size=(6, 3)), np.array([1, 1, 1, 2, 2, 2]))
+        lacking = View(rng.normal(size=(6, 2)), np.array([1, 1, 1, 1, 1, 1]))
+        views = (lacking, whole) if view == 1 else (whole, lacking)
+        ds = MultiViewDataset(views=views, class_count=2)
+        with pytest.raises(ClassTooSmallError, match=f"class 2 has no samples in view {view};"):
+            fit(ds, k=2, dim=1)
+
     def test_disconnected_graph_warns(self):
         # Two far clusters with disjoint labels and tiny k: the joint graph
         # splits into components and eigenvalue 0 gains multiplicity.

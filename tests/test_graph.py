@@ -139,6 +139,14 @@ class TestBuildWeightGraph:
         with pytest.raises(ClassCountMismatchError):
             build_weight_graph([bon2, bon3], [lab_small, lab_small], t=2.0)
 
+    def test_class_count_mismatch_names_views_from_1(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        lab = np.array([1, 2, 2])
+        bon2 = bon_vectors(knn(x, 1), lab, 2)
+        bon3 = bon_vectors(knn(x, 1), lab, 3)
+        with pytest.raises(ClassCountMismatchError, match="^view 2 has 3 classes, view 1 has 2$"):
+            build_weight_graph([bon2, bon3], [lab, lab], t=2.0)
+
     def test_t_must_be_positive(self):
         x = np.array([[0.0], [1.0]])
         lab = np.array([1, 1])
