@@ -28,6 +28,7 @@ from .errors import (
     VcDimMismatchError,
 )
 from .linalg import _fix_signs, _top_generalized, ridge_solve
+from .metrics import _class_blocks
 
 CCA_KAPPA = 1e-4
 
@@ -59,24 +60,26 @@ class LinearProjector:
 
 
 def _class_scatters(x: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    classes = np.unique(labels)
     d = x.shape[1]
     mu = x.mean(axis=0)
     s_w = np.zeros((d, d))
     s_b = np.zeros((d, d))
-    for cls in classes:
-        block = x[labels == cls]
-        mu_c = block.mean(axis=0)
-        centered = block - mu_c
+    for _, mu_c, centered in _class_blocks(x, labels):
         s_w += centered.T @ centered
         diff = (mu_c - mu)[:, None]
-        s_b += block.shape[0] * (diff @ diff.T)
+        s_b += centered.shape[0] * (diff @ diff.T)
     return s_w, s_b
 
 
-def _lda_directions(x: np.ndarray, labels: np.ndarray, dim: int) -> np.ndarray:
+def _discriminant(x: np.ndarray, labels: np.ndarray, dim: int, coupling=None) -> np.ndarray:
+    """The ``dim`` leading Fisher directions of ``x``: the generalized
+    eigenvectors of the between-class scatter against the within-class
+    scatter, plus ``coupling`` when given. LDA, the LDA stage of CCA+LDA and
+    both MvDA variants solve through here."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     s_w, s_b = _class_scatters(x, labels)
-    return _top_generalized(s_b, s_w, dim)
+    return _top_generalized(s_b, s_w if coupling is None else s_w + coupling, dim)
 
 
 def lda_fit(x, labels, dim: int) -> LinearProjector:
@@ -96,15 +99,13 @@ def lda_fit(x, labels, dim: int) -> LinearProjector:
     xm = check_matrix(x, "x")
     lab = check_labels(labels, xm.shape[0])
     c = np.unique(lab).size
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     if dim > c - 1:
         raise DimTooLargeError(
             f"dim {dim} exceeds class_count - 1 = {c - 1}; Fisher scatter rank caps there"
         )
     if dim > xm.shape[1]:
         raise DimTooLargeError(f"dim {dim} exceeds feature dimension {xm.shape[1]}")
-    return LinearProjector(method="lda", projections=(_lda_directions(xm, lab, dim),))
+    return LinearProjector(method="lda", projections=(_discriminant(xm, lab, dim),))
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,13 @@ def _inv_sqrt_psd(a: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(a)
     vals = np.clip(vals, 1e-12, None)
     return (vecs / np.sqrt(vals)) @ vecs.T
+
+
+def _two_views(ds: MultiViewDataset) -> tuple:
+    """The two views of ``ds``; ``ValueError`` unless it has exactly two."""
+    if ds.view_count != 2:
+        raise ValueError(f"needs exactly 2 views, got {ds.view_count}")
+    return ds.views
 
 
 def _paired_blocks(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -180,21 +188,16 @@ def cca_lda_fit(ds: MultiViewDataset, dim: int) -> LinearProjector:
     DimTooLargeError
         If ``class_count - 1`` is 0: one class has no discriminant direction.
     """
-    if ds.view_count != 2:
-        raise ValueError(f"needs exactly 2 views, got {ds.view_count}")
+    v1, v2 = _two_views(ds)
     labels = ds.paired_labels()
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     if ds.class_count < 2:
-        raise DimTooLargeError(f"dim {dim} exceeds class_count - 1 = {ds.class_count - 1}")
-    v1, v2 = ds.views
+        raise DimTooLargeError("class_count - 1 = 0: one class has no discriminant direction")
     cca = cca_fit(v1.features, v2.features)
     lda_dim = min(dim, ds.class_count - 1)
     projections = []
     for view, w_cca in ((v1, cca.wx), (v2, cca.wy)):
         scores = (view.features - view.features.mean(axis=0)) @ w_cca
-        w_lda = _lda_directions(scores, labels, lda_dim)
-        projections.append(w_cca @ w_lda)
+        projections.append(w_cca @ _discriminant(scores, labels, lda_dim))
     return LinearProjector(method="cca-lda", projections=tuple(projections))
 
 
@@ -292,9 +295,7 @@ def _rotations(weights: list[np.ndarray], loadings: list[np.ndarray]) -> np.ndar
 
 def pls_fit(ds: MultiViewDataset, dim: int) -> LinearProjector:
     """Paired-view PLS projector; rotations map features to scores."""
-    if ds.view_count != 2:
-        raise ValueError(f"needs exactly 2 views, got {ds.view_count}")
-    v1, v2 = ds.views
+    v1, v2 = _two_views(ds)
     result = nipals_pls(v1.features, v2.features, dim)
     return LinearProjector(method="pls", projections=(result.x_rotations, result.y_rotations))
 
@@ -327,14 +328,10 @@ def mvda_fit(
     stacked = np.zeros((rows[-1], cols[-1]))
     for v, r, c in zip(ds.views, rows, cols):
         stacked[r : r + v.n, c : c + v.dim] = v.features
-    s_w, s_b = _class_scatters(stacked, np.concatenate([v.labels for v in ds.views]))
-    total = s_b.shape[0]
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if dim > total:
-        raise DimTooLargeError(f"dim {dim} exceeds stacked dimension {total}")
+    if dim > cols[-1]:
+        raise DimTooLargeError(f"dim {dim} exceeds stacked dimension {cols[-1]}")
 
-    denom = s_w
+    coupling = None
     if view_consistency_lambda is not None:
         if view_consistency_lambda < 0:
             raise ValueError(
@@ -346,10 +343,9 @@ def mvda_fit(
             )
         # Block (i, j) is (v - 1) I on the diagonal and -I elsewhere.
         v = len(dims)
-        coupling = np.kron(v * np.eye(v) - 1.0, np.eye(dims[0]))
-        denom = s_w + view_consistency_lambda * coupling
+        coupling = view_consistency_lambda * np.kron(v * np.eye(v) - 1.0, np.eye(dims[0]))
 
-    beta = _top_generalized(s_b, denom, dim)
+    beta = _discriminant(stacked, np.concatenate([v.labels for v in ds.views]), dim, coupling)
     projections = tuple(block.copy() for block in np.split(beta, np.cumsum(dims)[:-1]))
     method = "mvda-vc" if view_consistency_lambda is not None else "mvda"
     return LinearProjector(method=method, projections=projections)
@@ -390,14 +386,17 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.reciprocal(y, out=y)
 
 
-#: Hidden-layer activations selectable by name. The ELM uses sigmoid; MHON's
-#: guide layer takes ``MhonHyper.activation``, softsign by default. Each takes
-#: ``out=`` as a ufunc does, so :func:`_hidden` evaluates a layer in place.
+#: Hidden-layer activations selectable by name. The ELM uses
+#: :data:`ELM_ACTIVATION`; MHON's guide layer takes ``MhonHyper.activation``,
+#: softsign by default. Each takes ``out=`` as a ufunc does, so
+#: :func:`_hidden` evaluates a layer in place.
 ACTIVATIONS = {
     "softsign": _softsign,
     "sigmoid": _sigmoid,
     "tanh": np.tanh,
 }
+#: The activation of every ELM classifier, MHON's head included.
+ELM_ACTIVATION = "sigmoid"
 
 
 @dataclass(frozen=True)
@@ -466,7 +465,7 @@ def elm_train(
     if hidden < 1:
         raise ValueError(f"hidden must be >= 1, got {hidden}")
     return fit_layer(xm, one_hot(lab, class_count), hidden, ridge_lambda,
-                     np.random.default_rng(seed), "sigmoid")
+                     np.random.default_rng(seed), ELM_ACTIVATION)
 
 
 def elm_predict(clf: ElmClassifier, x) -> np.ndarray:

@@ -14,10 +14,10 @@ own thread pool. Those threads keep spinning for a while after each call,
 and the small NumPy ridge solves of the classifiers run slower beside them
 on a machine with few cores. Fitting first puts every SciPy call of the
 pass in one burst instead of one per repeat: on 2 vCPUs a default pass took
-0.53-0.59 s so, against 0.71-0.74 s when each repeat was fitted and then
-scored (in-process, median of 6 at each of split seeds 7, 8 and 9). Each
-classifier seeds its own generator from the repeat's split seed, so the
-order changes no result.
+0.32-0.40 s so, against 0.53-0.59 s when each repeat was fitted and then
+scored (in-process, median of 6 at each of split seeds 7, 8 and 9, in
+three processes). Each classifier seeds its own generator from the
+repeat's split seed, so the order changes no result.
 """
 
 from __future__ import annotations

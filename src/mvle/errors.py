@@ -62,6 +62,10 @@ class DimTooLargeError(MvleError):
     """Requested embedding dimension exceeds what the input supports."""
 
 
+class OrderTooLargeError(MvleError):
+    """An eigenproblem's order exceeds the largest the package will solve."""
+
+
 class DimMismatchError(MvleError):
     """Feature dimension at predict time differs from training."""
 

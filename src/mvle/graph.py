@@ -41,7 +41,7 @@ import numpy as np
 from .bon import BonMatrix
 from .dataset import check_labels
 from .errors import ClassCountMismatchError, IsolatedSampleError, LengthMismatchError
-from .linalg import _BLOCK
+from .linalg import _BLOCK, check_order
 
 
 @dataclass(frozen=True)
@@ -154,6 +154,9 @@ def build_weight_graph(
         Unless each view's labels pass :func:`~mvle.dataset.check_labels`
         with one label per BON row and classes 1..c of the BON matrices;
         also if ``bons`` and ``labels`` differ in length.
+    OrderTooLargeError
+        If the m cells exceed ``linalg.MAX_ORDER``
+        (:func:`~mvle.linalg.check_order`), before any m×m array is made.
     IsolatedSampleError
         If a sample ends up with zero total edge weight; names the first.
     """
@@ -183,6 +186,8 @@ def build_weight_graph(
     cells, cell_index, sizes = np.unique(
         keyed, axis=0, return_inverse=True, return_counts=True
     )
+    # m is known here, and no m×m array exists yet.
+    check_order(cells.shape[0])
     counts = cells[:, :-1].astype(np.float64)
     cell_labels = cells[:, -1].astype(np.int64)
 

@@ -49,6 +49,7 @@ from .dataset import check_matrix
 from .errors import (
     NoConvergenceError,
     NonSymmetricError,
+    OrderTooLargeError,
     SingularDegreeError,
     SingularMatrixError,
 )
@@ -71,6 +72,16 @@ LANCZOS_MIN_ORDER = 1000
 _BLOCK = 512
 # Ridge of the baselines' scatter denominator, relative to its mean diagonal.
 SCATTER_REG = 1e-6
+# Largest order of an eigenproblem the package solves. OpenBLAS 0.3.31's
+# threaded Cholesky (`dpotrf`, which certifies every Lanczos solve) dies
+# with a segmentation fault at large order. On an m×m Fortran-ordered SPD
+# matrix with 2 OpenBLAS threads, SciPy's `dpotrf` passed at m = 12,000 to
+# 15,500 and faulted at 16,000 and 17,099; on one thread it passed at
+# 16,000, and a larger stack limit did not help. NumPy's own ILP64 build
+# (`np.linalg.cholesky`) faulted at 16,000 too. The order at which it faults
+# depends on the OpenBLAS build and its thread count, so the limit stays
+# below the smallest order seen to fault.
+MAX_ORDER = 15_000
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,18 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * _lead_signs(vectors)
 
 
+def check_order(m: int) -> None:
+    """Raise ``OrderTooLargeError`` if an m×m eigenproblem exceeds
+    ``MAX_ORDER``; it costs one comparison, so callers run it before they
+    build any m×m array."""
+    if m > MAX_ORDER:
+        raise OrderTooLargeError(
+            f"eigenproblem order m = {m} exceeds the limit {MAX_ORDER}: OpenBLAS's "
+            "threaded Cholesky, which certifies the solve, crashed from order 16,000; "
+            "fit fewer samples"
+        )
+
+
 def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     """Solve ``L y = lambda D y`` for symmetric ``L`` and positive diagonal ``D``.
 
@@ -135,6 +158,8 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
         NaN or Inf.
     NonSymmetricError
         If the symmetry check fails.
+    OrderTooLargeError
+        If the order exceeds ``MAX_ORDER`` (:func:`check_order`).
     SingularDegreeError
         If any diagonal entry of ``D`` is zero or negative.
     NoConvergenceError
@@ -146,6 +171,7 @@ def generalized_eig_diag(l, d, count: int | None = None) -> EigenResult:
     if lm.ndim != 2 or lm.size == 0 or lm.shape[0] != lm.shape[1]:
         raise ValueError(f"l must be a nonempty square matrix, got shape {lm.shape}")
     m = lm.shape[0]
+    check_order(m)
     dv = np.asarray(d, dtype=np.float64)
     if dv.ndim != 1 or dv.shape[0] != m:
         raise ValueError(

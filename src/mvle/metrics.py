@@ -17,6 +17,22 @@ from .dataset import check_labels, check_matrix
 from .errors import ClassTooSmallError
 
 
+def _class_blocks(x: np.ndarray, labels: np.ndarray):
+    """Each class present in ``labels``, in ascending order, as
+    ``(class id, mean row, rows minus that mean)``.
+
+    One stable argsort groups the rows, so each class's rows keep their
+    order and its block is the same array as ``x[labels == cls]``: the
+    scatters built from it match a per-class boolean-mask loop bit for bit.
+    """
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    for rows in np.split(order, starts):
+        block = x[rows]
+        mu = block.mean(axis=0)
+        yield labels[rows[0]], mu, block - mu
+
+
 def s_w(x, labels) -> float:
     """Mean within-class scatter: average over classes of the per-class
     sum of squared deviations from the class mean, divided by (n_c - 1).
@@ -34,17 +50,14 @@ def s_w(x, labels) -> float:
     """
     xm = check_matrix(x, "x")
     lab = check_labels(labels, xm.shape[0])
-    classes = np.unique(lab)
     total = 0.0
-    for cls in classes:
-        block = xm[lab == cls]
-        if block.shape[0] < 2:
+    for count, (cls, _, centered) in enumerate(_class_blocks(xm, lab), start=1):
+        if centered.shape[0] < 2:
             raise ClassTooSmallError(
-                f"class {cls} has {block.shape[0]} sample(s); need >= 2"
+                f"class {cls} has {centered.shape[0]} sample(s); need >= 2"
             )
-        mu = block.mean(axis=0)
-        total += float(((block - mu) ** 2).sum()) / (block.shape[0] - 1)
-    return total / classes.size
+        total += float((centered ** 2).sum()) / (centered.shape[0] - 1)
+    return total / count
 
 
 def s_b(x, labels) -> float:
@@ -67,10 +80,8 @@ def s_b(x, labels) -> float:
         raise ValueError("need at least 2 samples")
     grand = xm.mean(axis=0)
     total = 0.0
-    for cls in np.unique(lab):
-        block = xm[lab == cls]
-        mu = block.mean(axis=0)
-        total += block.shape[0] * float(((mu - grand) ** 2).sum())
+    for _, mu, centered in _class_blocks(xm, lab):
+        total += centered.shape[0] * float(((mu - grand) ** 2).sum())
     return total / (n - 1)
 
 

@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import ACTIVATIONS, ElmClassifier, elm_predict, elm_train, fit_layer, layer_output
+from .baselines import (
+    ACTIVATIONS, ELM_ACTIVATION, ElmClassifier, elm_predict, elm_train, fit_layer, layer_output,
+)
 from .dataset import (
     MultiViewDataset, NormStats, check_labels, check_matrix, zscore_apply, zscore_fit,
 )
@@ -319,7 +321,7 @@ def _model_from_doc(doc: dict) -> MhonModel:
     if type(lam) not in (int, float) or not 0 < lam <= sys.float_info.max:
         raise ValueError(f"ridge_lambda must be a finite positive number, got {lam!r}")
     hyper = MhonHyper(**{key: scalars[key] for key in _HYPER}, activation=doc["activation"])
-    layers = {"guide": {"activation": hyper.activation}, "head": {"activation": "sigmoid"}}
+    layers = {"guide": {"activation": hyper.activation}, "head": {"activation": ELM_ACTIVATION}}
     for key, (layer, field, _) in _WEIGHTS.items():
         payload = doc["weights"][key]
         data = np.array(payload["data"], dtype=np.float64)

@@ -13,6 +13,8 @@ and ``label_set`` restate single entries of the kNN and BON rules, and
 ``layer_arrays`` lists a network's weights for comparisons.
 ``interleaved_benchmark`` is the benchmark loop that scores each repeat
 right after fitting it, against which the two-phase engine is checked.
+``mask_scatters``, ``mask_s_w`` and ``mask_s_b`` compute class scatter with
+one boolean mask per class, the loops the grouped class pass replaced.
 """
 
 import time
@@ -23,6 +25,7 @@ from scipy.spatial.distance import cdist
 
 from mvle import bench
 from mvle.dataset import MultiViewDataset, View
+from mvle.errors import ClassTooSmallError
 from mvle.graph import CellGraph, _require_edges
 from mvle.metrics import EvalReport
 
@@ -197,3 +200,45 @@ def interleaved_benchmark(ds: MultiViewDataset, cfg: dict) -> list:
                         s_w=sw, s_b=sb, wall_time=wall, fit_time=fit_time,
                     ))
     return runs
+
+
+def mask_scatters(x, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Within- and between-class scatter matrices, one boolean mask per class."""
+    d = x.shape[1]
+    mu = x.mean(axis=0)
+    s_w = np.zeros((d, d))
+    s_b = np.zeros((d, d))
+    for cls in np.unique(labels):
+        block = x[labels == cls]
+        mu_c = block.mean(axis=0)
+        centered = block - mu_c
+        s_w += centered.T @ centered
+        diff = (mu_c - mu)[:, None]
+        s_b += block.shape[0] * (diff @ diff.T)
+    return s_w, s_b
+
+
+def mask_s_w(x, labels) -> float:
+    """``metrics.s_w`` by one boolean mask per class, with its error."""
+    classes = np.unique(labels)
+    total = 0.0
+    for cls in classes:
+        block = x[labels == cls]
+        if block.shape[0] < 2:
+            raise ClassTooSmallError(
+                f"class {cls} has {block.shape[0]} sample(s); need >= 2"
+            )
+        mu = block.mean(axis=0)
+        total += float(((block - mu) ** 2).sum()) / (block.shape[0] - 1)
+    return total / classes.size
+
+
+def mask_s_b(x, labels) -> float:
+    """``metrics.s_b`` by one boolean mask per class, for at least 2 rows."""
+    grand = x.mean(axis=0)
+    total = 0.0
+    for cls in np.unique(labels):
+        block = x[labels == cls]
+        mu = block.mean(axis=0)
+        total += block.shape[0] * float(((mu - grand) ** 2).sum())
+    return total / (x.shape[0] - 1)

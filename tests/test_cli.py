@@ -402,6 +402,23 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [f"error: MemoryError: {message}"]
 
 
+def test_order_beyond_the_limit_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A fit whose cells outnumber linalg.MAX_ORDER stops before it builds the
+    # m×m cell weights, so a real one never reaches the crashing factor.
+    calls = []
+    monkeypatch.setattr(mvle.graph, "_cell_weights", lambda *args: calls.append(args))
+    monkeypatch.setattr(mvle.linalg, "MAX_ORDER", 5)
+    data = gen_small(tmp_path)
+    capsys.readouterr()
+    rc = main(["embed", "--k", "6", "--dim", "3"] + view_flags(data)
+              + ["--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1 and calls == []
+    assert len(err) == 1
+    assert re.match(r"error: OrderTooLargeError: eigenproblem order m = \d+ exceeds the limit 5: ",
+                    err[0])
+
+
 @pytest.mark.parametrize("flag", ["--features", "--labels"])
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_view_file_is_one_errno_line(tmp_path, capsys, flag, kind):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import mvle.graph
+import mvle.linalg
 from mvle.bon import BonMatrix, bon_vectors, knn
-from mvle.errors import ClassCountMismatchError, IsolatedSampleError
+from mvle.errors import ClassCountMismatchError, IsolatedSampleError, OrderTooLargeError
 from mvle.graph import build_weight_graph
 from oracle import degree_and_laplacian, dense_graph, label_set
 
@@ -146,6 +148,20 @@ class TestBuildWeightGraph:
         bon3 = bon_vectors(knn(x, 1), lab, 3)
         with pytest.raises(ClassCountMismatchError, match="^view 2 has 3 classes, view 1 has 2$"):
             build_weight_graph([bon2, bon3], [lab, lab], t=2.0)
+
+    def test_cells_beyond_the_order_limit_are_refused_before_any_weight(self, monkeypatch):
+        bon = BonMatrix(np.array([[2, 1], [1, 2], [2, 1]]), k=3)
+        lab = np.array([1, 2, 1])
+        assert build_weight_graph([bon], [lab], t=2.0)[0].m == 2
+
+        def no_weights(*args):
+            raise AssertionError("cell weights evaluated")
+
+        monkeypatch.setattr(mvle.graph, "_cell_weights", no_weights)
+        monkeypatch.setattr(mvle.linalg, "MAX_ORDER", 1)
+        refused = "^eigenproblem order m = 2 exceeds the limit 1: "
+        with pytest.raises(OrderTooLargeError, match=refused):
+            build_weight_graph([bon], [lab], t=2.0)
 
     def test_t_must_be_positive(self):
         x = np.array([[0.0], [1.0]])

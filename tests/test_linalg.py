@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mvle.errors import NonSymmetricError, SingularDegreeError
+import mvle.linalg
+from mvle.errors import NonSymmetricError, OrderTooLargeError, SingularDegreeError
 from mvle.linalg import (
     LANCZOS_MIN_ORDER,
     _certified_lanczos,
@@ -157,6 +158,15 @@ class TestSymEig:
 
 
 class TestGeneralizedEigDiag:
+    def test_order_beyond_the_limit_is_refused(self, monkeypatch):
+        lap = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        monkeypatch.setattr(mvle.linalg, "MAX_ORDER", 3)
+        assert generalized_eig_diag(lap.copy(), np.ones(3)).values.shape == (3,)
+        monkeypatch.setattr(mvle.linalg, "MAX_ORDER", 2)
+        refused = "^eigenproblem order m = 3 exceeds the limit 2: "
+        with pytest.raises(OrderTooLargeError, match=refused):
+            generalized_eig_diag(lap.copy(), np.ones(3))
+
     def test_identity_degree_reduces_to_sym_eig(self):
         res = generalized_eig_diag(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones(2))
         assert np.allclose(res.values, [0.0, 2.0], atol=1e-12)

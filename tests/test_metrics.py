@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mvle.baselines import _class_scatters
 from mvle.errors import ClassTooSmallError, LengthMismatchError
 from mvle.metrics import (
     REPORT_HEADER,
@@ -14,6 +17,7 @@ from mvle.metrics import (
     s_b,
     s_w,
 )
+from oracle import mask_s_b, mask_s_w, mask_scatters
 
 
 class TestScatter:
@@ -61,6 +65,40 @@ class TestScatter:
             s_w(np.zeros((4, 2)), np.array([1, 2]))
         with pytest.raises(LengthMismatchError):
             s_b(np.zeros((4, 2)), np.array([1, 1, 2]))
+
+
+@st.composite
+def grouped_cases(draw):
+    """A matrix and unsorted labels over up to 5 class ids drawn from 1..12,
+    so ids have gaps and small draws leave one-row classes."""
+    classes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(2, 30))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    width = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(scale=scale, size=(n, width)) + rng.normal(scale=10 * scale, size=width)
+    return x, np.array(labels, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_cases())
+@example((np.arange(12.0).reshape(6, 2) ** 1.5, np.array([9, 2, 5, 2, 9, 9])))
+def test_grouped_pass_matches_mask_loops_bit_for_bit(case):
+    # The grouped pass keeps each class's rows in order, so every sum runs
+    # in the same order as the per-class boolean-mask loops it replaced.
+    x, labels = case
+    got, want = _class_scatters(x, labels), mask_scatters(x, labels)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert s_b(x, labels) == mask_s_b(x, labels)
+    try:
+        expected = mask_s_w(x, labels)
+    except ClassTooSmallError as exc:
+        with pytest.raises(ClassTooSmallError) as err:
+            s_w(x, labels)
+        assert str(err.value) == str(exc)
+    else:
+        assert s_w(x, labels) == expected
 
 
 class TestAccuracy:
