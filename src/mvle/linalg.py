@@ -15,25 +15,24 @@ one asymmetric within it is replaced by its average with its transpose.
 
 The full spectrum comes from LAPACK's symmetric driver via
 ``numpy.linalg``. When only the lowest ``count`` pairs are asked for and the
-order is at least ``LANCZOS_MIN_ORDER``, they come from ARPACK's Lanczos
-iteration via ``scipy.sparse.linalg.eigsh`` with a fixed start vector, and
-are certified before use: every residual must be small, and a Cholesky
-factorisation of the shifted, deflated matrix must prove that no eigenvalue
-below the cut was skipped. If ARPACK fails or either check does, the full
-solve runs instead, so no uncertified pair is ever returned.
+order is at least ``LANCZOS_MIN_ORDER``, they come from Lanczos iteration
+with full reorthogonalisation and a fixed start vector, and are certified
+before use: every residual must be small, and a Cholesky factorisation of
+the shifted, deflated matrix must prove that no eigenvalue below the cut was
+skipped. If Lanczos does not converge or either check fails, the full solve
+runs instead, so no uncertified pair is ever returned.
 
-That solve runs on one BLAS thread pool, SciPy's, and reads one triangle.
-NumPy and SciPy each load their own OpenBLAS, and on few cores the idle
-pool's spinning threads slow the busy one, so ARPACK's products, the
-residuals, the lift and the factorisation all call SciPy's symmetric BLAS
-and LAPACK routines on the lower triangle of the whitened matrix; NumPy
-does only elementwise work there.
+That solve runs on NumPy alone, on NumPy's one BLAS thread pool. SciPy
+loads its own OpenBLAS, about 30 MB of memory and a second pool whose
+spinning threads slow NumPy's on few cores, so the products with the
+whitened matrix, the residuals, the lift and a blocked Cholesky factor are
+all NumPy calls.
 
-This is the package's one SciPy user, and it loads SciPy lazily, inside the
-two solvers that need it: the certified Lanczos solve above, and
-``_top_generalized``, the ridged generalized eigensolve of the linear
-baselines (LDA, the LDA stage of CCA+LDA, MvDA), which calls LAPACK's
-generalized symmetric driver through ``scipy.linalg.eigh``.
+The package's one SciPy user is ``_top_generalized``, the ridged generalized
+eigensolve of the linear baselines (LDA, the LDA stage of CCA+LDA, MvDA),
+which calls LAPACK's generalized symmetric driver through
+``scipy.linalg.eigh`` and imports SciPy inside its body, so only
+``benchmark`` loads it.
 
 Tolerances are fixed module-wide: inputs are validated at 1e-10
 (relative), results are certified at 1e-8.
@@ -57,31 +56,38 @@ from .errors import (
 INPUT_TOL = 1e-10
 RESULT_TOL = 1e-8
 # Smallest order solved by Lanczos when fewer than all pairs are asked for.
-# Measured on c16-style graph quotients with 2 vCPUs, 10 pairs, median of 5,
-# each solver in its own warm process: certified Lanczos overtakes the dense
-# solve between orders 334 and 412, takes 0.045 s against 0.163 s at 1038,
-# and 0.24 s against 2.4 s at 2661. Below 1000 it saves at most about 0.1 s,
-# which the slower NumPy BLAS calls after SciPy's BLAS threads wake give
-# back (about 0.08 s per pipeline pass). A fresh process also pays
-# 0.2-0.33 s to import SciPy at its first Lanczos solve: a fresh
-# `train-mhon` on 1038 cells took 0.83 s through Lanczos against 0.58 s
-# through the dense solve.
+# Measured on c16-style graph quotients with 2 vCPUs, 10 pairs, median of 5.
+# Warm, both solvers in one process, certified Lanczos ties the dense solve
+# near order 290 (0.013 s against 0.012 s) and wins above it: 0.019 s
+# against 0.029 s at 435, 0.08 against 0.26 s at 1045 and 0.39 against
+# 2.5 s at 2661. Fresh, a whole `train-mhon` process took 0.41 s either way
+# at 435 cells and 0.53 s against 0.70 s at 1045. So the cut could be lower;
+# it stays at 1000, which keeps the pipeline-c4 benchmark (about 520 cells)
+# on the dense path its reference outputs were recorded with.
 LANCZOS_MIN_ORDER = 1000
 # Rows or columns per block where m×m work is done in pieces, here and in
 # the graph's cell weights.
 _BLOCK = 512
 # Ridge of the baselines' scatter denominator, relative to its mean diagonal.
 SCATTER_REG = 1e-6
-# Largest order of an eigenproblem the package solves. OpenBLAS 0.3.31's
-# threaded Cholesky (`dpotrf`, which certifies every Lanczos solve) dies
-# with a segmentation fault at large order. On an m×m Fortran-ordered SPD
+# Largest order of an eigenproblem the package solves. It was set from
+# OpenBLAS 0.3.31's threaded Cholesky (`dpotrf`, which certified every
+# Lanczos solve before the blocked factor `_cholesky_lower`): on an m×m SPD
 # matrix with 2 OpenBLAS threads, SciPy's `dpotrf` passed at m = 12,000 to
-# 15,500 and faulted at 16,000 and 17,099; on one thread it passed at
-# 16,000, and a larger stack limit did not help. NumPy's own ILP64 build
-# (`np.linalg.cholesky`) faulted at 16,000 too. The order at which it faults
-# depends on the OpenBLAS build and its thread count, so the limit stays
-# below the smallest order seen to fault.
+# 15,500 and died with a segmentation fault at 16,000 and 17,099, and
+# NumPy's `np.linalg.cholesky` faulted at 16,000 too. The blocked factor
+# calls LAPACK only at block order, but its GEMMs run to order m and it has
+# not been run above 15,000, so the limit stays.
 MAX_ORDER = 15_000
+# Columns per block of the certificate's Cholesky factor.
+_FACTOR_BLOCK = 256
+# Lanczos: Ritz residual, relative to the largest entry of the matrix, at
+# which a pair counts as converged; steps between convergence checks; and
+# the most steps taken beyond twice the pairs asked for, which bounds the
+# basis.
+_RITZ_TOL = 1e-14
+_CHECK_STEPS = 10
+_LANCZOS_STEPS = 500
 
 
 @dataclass(frozen=True)
@@ -122,9 +128,9 @@ def check_order(m: int) -> None:
     build any m×m array."""
     if m > MAX_ORDER:
         raise OrderTooLargeError(
-            f"eigenproblem order m = {m} exceeds the limit {MAX_ORDER}: OpenBLAS's "
-            "threaded Cholesky, which certifies the solve, crashed from order 16,000; "
-            "fit fewer samples"
+            f"eigenproblem order m = {m} exceeds the limit {MAX_ORDER}: the Cholesky "
+            "factor that certifies the solve has been run only up to that order "
+            "(OpenBLAS's threaded Cholesky crashed from order 16,000); fit fewer samples"
         )
 
 
@@ -258,8 +264,8 @@ def _symmetrize(a: np.ndarray) -> float:
 def _certified_lanczos(
     white: np.ndarray, count: int, root_d: np.ndarray, scale: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``count`` lowest eigenpairs of symmetric ``white`` by ARPACK
-    Lanczos, or ``None`` unless both certificates hold.
+    """The ``count`` lowest eigenpairs of symmetric ``white`` by Lanczos
+    iteration (:func:`_lanczos`), or ``None`` unless both certificates hold.
 
     Accuracy: the residuals ``W V - V diag(lambda)`` have Frobenius norm at
     most ``tol = RESULT_TOL * scale`` and ``V^T V = I`` within RESULT_TOL.
@@ -267,63 +273,153 @@ def _certified_lanczos(
     ``S = W - sigma I + R R^T`` with ``R = V diag(sqrt(c))`` and
     ``c > sigma - lambda`` lifts the found pairs above zero. A
     rank-``count`` update removes at most ``count`` negative eigenvalues, so
-    if ``S`` is positive definite (its Cholesky factorisation succeeds),
-    ``W`` has at most ``count`` eigenvalues below ``sigma``; the residual
-    bound puts ``count`` of them within ``tol`` of the found values. Every
-    eigenvalue left out is then at least ``sigma``.
+    if ``S`` is positive definite (its Cholesky factorisation,
+    :func:`_cholesky_lower`, succeeds), ``W`` has at most ``count``
+    eigenvalues below ``sigma``; the residual bound puts ``count`` of them
+    within ``tol`` of the found values. Every eigenvalue left out is then at
+    least ``sigma``, up to the factor's rounding (see :func:`_cholesky_lower`).
 
-    Every product with ``white`` goes through SciPy's symmetric BLAS
-    kernels on the Fortran-ordered view ``white.T``, which they read
-    without a copy: ``dsymv`` for ARPACK's steps, ``dsymm`` for the
-    residuals, and one ``dsyrk`` that adds ``R R^T`` to the triangle that
-    ``dpotrf`` then factors, the lower triangle of ``white``. So the solve
-    runs on SciPy's BLAS threads alone, and NumPy's work here is elementwise.
-    When the certificate holds, ``white`` is left holding the factor; when
-    it fails, the lower triangle is copied back from the untouched upper one
-    and the diagonal restored, so ``white`` holds W again, bit for bit, for
-    the dense solve that follows.
+    The start vector is ``root_d``, normalised: ``D^{1/2} 1`` is a null
+    vector of a whitened graph Laplacian. Everything runs on NumPy. The shift
+    and the lift are written to the lower triangle of ``white`` only, and
+    the factor overwrites that triangle. When the certificate holds,
+    ``white`` is left holding the factor; when it fails, the lower triangle
+    is copied back from the untouched upper one and the diagonal restored,
+    so ``white`` holds W again, bit for bit, for the dense solve that
+    follows.
     """
-    # Imported here: loading SciPy's sparse and dense linear algebra takes
-    # about 0.33 s on 2 vCPUs, which only a process that solves a quotient
-    # of order LANCZOS_MIN_ORDER or more pays.
-    from scipy.linalg.blas import dnrm2, dsymm, dsymv, dsyrk
-    from scipy.linalg.lapack import dpotrf
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-    # The upper triangle of ``upper`` is the lower triangle of ``white``.
-    upper = white.T
-    operator = LinearOperator(
-        white.shape, matvec=lambda x: dsymv(1.0, upper, x), dtype=np.float64
-    )
-    try:
-        values, vectors = eigsh(
-            operator, k=count, which="SA", tol=0, v0=root_d / np.linalg.norm(root_d)
-        )
-    except ArpackError:
+    found = _lanczos(white, count, root_d / np.linalg.norm(root_d), scale)
+    if found is None:
         return None
-    order = np.argsort(values)
-    values, vectors = values[order], vectors[:, order]
+    values, vectors = found
     tol = RESULT_TOL * scale
-    residual = dsymm(1.0, upper, vectors)
+    residual = white @ vectors
     residual -= vectors * values
-    # V^T V in the upper triangle; the lower one is zero.
-    gram = dsyrk(1.0, vectors, trans=1)
+    gram = vectors.T @ vectors
     np.fill_diagonal(gram, np.diagonal(gram) - 1.0)
     # Written so that a NaN anywhere fails the check.
-    if not (dnrm2(residual.ravel(order="K")) <= tol and np.abs(gram).max() <= RESULT_TOL):
+    if not (np.linalg.norm(residual) <= tol and np.abs(gram).max() <= RESULT_TOL):
         return None
     sigma = values[-1] + 2.0 * max(tol, RESULT_TOL)
     lift = vectors * np.sqrt(sigma - values + max(scale, 1.0))
     diagonal = np.diagonal(white).copy()
     white[np.diag_indices_from(white)] -= sigma
-    shifted = dsyrk(1.0, lift, beta=1.0, c=upper, overwrite_c=True)
-    _, info = dpotrf(shifted, lower=False, clean=False, overwrite_a=True)
-    if info == 0:
+    m = white.shape[0]
+    for i in range(0, m, _FACTOR_BLOCK):
+        rows = lift[i : i + _FACTOR_BLOCK]
+        white[i : i + _FACTOR_BLOCK, :i] += rows @ lift[:i].T
+        block = white[i : i + _FACTOR_BLOCK, i : i + _FACTOR_BLOCK]
+        np.add(block, rows @ rows.T, out=block, where=np.tri(len(rows), dtype=bool))
+    if _cholesky_lower(white):
         return values, vectors
-    for i in range(1, white.shape[0]):
+    for i in range(1, m):
         white[i, :i] = white[:i, i]
     white[np.diag_indices_from(white)] = diagonal
     return None
+
+
+def _lanczos(
+    white: np.ndarray, count: int, start: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``count`` lowest Ritz pairs of symmetric ``white``, values
+    ascending, or ``None`` if they do not converge within
+    ``_LANCZOS_STEPS + 2 * count`` steps.
+
+    Lanczos with full reorthogonalisation (Parlett, *The Symmetric
+    Eigenvalue Problem*): every new direction is orthogonalised twice
+    against the whole basis, so no copy of a converged pair appears. The
+    iteration starts at unit ``start``. When the basis spans an invariant
+    subspace (the new direction's norm is at most ``_RITZ_TOL * scale``),
+    it continues from a direction drawn from a fixed-seed generator and
+    orthogonalised against the basis, so the result is repeatable. Every
+    ``_CHECK_STEPS`` steps the tridiagonal projection is solved; the pairs
+    count as converged when each of the lowest ``count`` Ritz residuals,
+    ``beta * |last entry of the Ritz vector|``, is at most
+    ``_RITZ_TOL * scale``.
+    """
+    m = white.shape[0]
+    steps = min(m, _LANCZOS_STEPS + 2 * count)
+    tol = _RITZ_TOL * scale
+    basis = np.empty((steps, m))
+    alpha = np.empty(steps)
+    beta = np.zeros(steps)
+    rng = np.random.default_rng(0)
+    q = start
+    for j in range(steps):
+        basis[j] = q
+        known = basis[: j + 1]
+        w = white @ q
+        alpha[j] = q @ w
+        for _ in range(2):
+            w -= known.T @ (known @ w)
+        norm = np.linalg.norm(w)
+        k = j + 1
+        if k >= count and (k % _CHECK_STEPS == 0 or k == steps):
+            theta, ritz = np.linalg.eigh(
+                np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+            )
+            if np.all(norm * np.abs(ritz[-1, :count]) <= tol):
+                return theta[:count], known.T @ ritz[:, :count]
+        if norm > tol:
+            beta[j] = norm
+        else:
+            w = rng.standard_normal(m)
+            for _ in range(2):
+                w -= known.T @ (known @ w)
+            norm = np.linalg.norm(w)
+        q = w / norm
+    return None
+
+
+def _cholesky_lower(a: np.ndarray) -> bool:
+    """Overwrite the lower triangle of symmetric ``a`` with its Cholesky
+    factor; ``False`` if ``a`` is not positive definite.
+
+    Left-looking and blocked by ``_FACTOR_BLOCK``: each block column is
+    updated by one GEMM with the columns already factored, its diagonal
+    block factored by ``np.linalg.cholesky`` (whose ``LinAlgError`` is the
+    failure), and the panel below it solved by one GEMM with the inverse of
+    that factor. Only the lower triangle is read or written, and no array
+    larger than a ``_FACTOR_BLOCK``-column panel is made, so the strict
+    upper triangle stays bit for bit what it was, whatever the outcome.
+
+    Rounding. When a Cholesky factorisation whose triangular solves are
+    substitutions runs to completion, ``L L^T = A + dA`` with
+    ``|dA| <= g |L| |L^T|``, ``g = (m + 1) u / (1 - (m + 1) u)``,
+    ``u = 2^-53`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., ch. 10, Thm 10.3). As ``(|L| |L^T|)_ij <= sqrt(a_ii a_jj)`` to
+    first order, ``||dA||_2 <= g tr(A)``, so success proves
+    ``lambda_min(A) > -g tr(A)``, not ``> 0``. The panels here are solved by
+    an explicit inverse, which has a weaker bound: a panel's residual is
+    bounded through ``|P| |L_kk^-T| |L_kk^T|`` instead of ``|X| |L_kk^T|``,
+    larger by up to the condition number of ``L_kk``, which is at most
+    ``cond_2(A)^(1/2)``.
+
+    In the certificate ``A = S``, whose diagonal is at most about 1 since
+    W's is, so ``g tr(S)`` is about ``m^2 u``. It stays below the 2e-8
+    margin up to m of about 13,500 when lambda_count is small: the margin
+    does not cover the substitution bound for every m up to ``MAX_ORDER``,
+    and it covers the explicit inverse's extra factor, which is not
+    measured at run time, for no m a priori. Measured on c16-style
+    quotients at m = 2661 and 9026: ``g tr(S)`` 6.4e-10 and 7.6e-9, the
+    largest ``cond_2(L_kk)`` 2.7 and 2.0, and ``||L L^T - S||_2`` 1.2e-15
+    and 1.5e-15.
+    """
+    m = a.shape[0]
+    for k in range(0, m, _FACTOR_BLOCK):
+        e = min(k + _FACTOR_BLOCK, m)
+        done = a[k:, :k]
+        block = a[k:e, k:e] - done[: e - k] @ done[: e - k].T
+        try:
+            factor = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return False
+        np.copyto(a[k:e, k:e], factor, where=np.tri(e - k, dtype=bool))
+        if e < m:
+            panel = a[e:, k:e]
+            panel -= done[e - k :] @ done[: e - k].T
+            panel[...] = panel @ np.linalg.inv(factor).T
+    return True
 
 
 def _top_generalized(numer: np.ndarray, denom: np.ndarray, dim: int) -> np.ndarray:

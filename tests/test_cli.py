@@ -25,6 +25,7 @@ from mvle.dataset import (
 )
 from mvle.embedding import fit
 from mvle.errors import ConfigError, UnknownMethodError
+from mvle.linalg import LANCZOS_MIN_ORDER
 from mvle.metrics import REPORT_HEADER, accuracy
 from oracle import dense_graph, objective
 
@@ -770,8 +771,8 @@ def loaded_scipy_modules(script: str) -> list[str]:
 
 
 class TestStartup:
-    """Fits of quotients below LANCZOS_MIN_ORDER and eval run without SciPy,
-    so no command pays for loading it."""
+    """Fits and eval run without SciPy, so no command but ``benchmark`` pays
+    for loading it."""
 
     def test_setup_probe(self):
         # The benchmark's set-up probe.
@@ -797,6 +798,24 @@ class TestStartup:
         for argv in commands:
             script = f"import mvle.cli\nassert mvle.cli.main({argv!r}) == 0\n"
             assert loaded_scipy_modules(script) == [], argv[0]
+
+    def test_lanczos_fit_commands(self, tmp_path):
+        # On LANCZOS_MIN_ORDER cells or more the fit takes the certified
+        # Lanczos solve, which runs on NumPy alone.
+        data = tmp_path / "data"
+        assert main(["gen", "--class-count", "16", "--samples-per-class", "50",
+                     "--noise-sigma", "1.0", "--out-dir", str(data)]) == 0
+        emb = tmp_path / "emb"
+        commands = [
+            ["embed"] + view_flags(data) + ["--dim", "8", "--out-dir", str(emb)],
+            ["train-mhon"] + view_flags(data) + ["--dim", "8",
+                                                 "--out-dir", str(tmp_path / "models")],
+        ]
+        for argv in commands:
+            script = f"import mvle.cli\nassert mvle.cli.main({argv!r}) == 0\n"
+            assert loaded_scipy_modules(script) == [], argv[0]
+        meta = json.loads((emb / "embedding_meta.json").read_text(encoding="utf-8"))
+        assert meta["bon_cells"] >= LANCZOS_MIN_ORDER and meta["eig_solver"] == "lanczos"
 
 
 BENCH_SMALL = [

@@ -7,16 +7,15 @@ than re-calling the code under test.
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import mvle.linalg
 from mvle.errors import NonSymmetricError, OrderTooLargeError, SingularDegreeError
 from mvle.linalg import (
     LANCZOS_MIN_ORDER,
-    _certified_lanczos,
+    _FACTOR_BLOCK,
+    _cholesky_lower,
     _fix_signs,
     generalized_eig_diag,
     ridge_solve,
@@ -132,11 +131,11 @@ class TestSymEig:
         assert np.abs(got.values - values[:count]).max() < 1e-12
         assert np.abs(got.vectors - _fix_signs(vectors[:, :count])).max() < 1e-12
 
-        def skipping_eigsh(a, k, **kwargs):
-            values, vectors = np.linalg.eigh(a @ np.eye(a.shape[0]))
-            return values[1 : k + 1], vectors[:, 1 : k + 1]
+        def skipping_lanczos(white, count, start, scale):
+            values, vectors = np.linalg.eigh(white)
+            return values[1 : count + 1], vectors[:, 1 : count + 1]
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
+        monkeypatch.setattr(mvle.linalg, "_lanczos", skipping_lanczos)
         got = generalized_eig_diag(a.copy(), np.ones(n), count=count)
         assert got.solver == "dense"
         assert np.array_equal(got.values, values)
@@ -301,25 +300,25 @@ class TestCertifiedLanczos:
     def test_skipped_lowest_pair_rejected(self, monkeypatch):
         # Pairs 2..k+1 are exact eigenpairs with tiny residuals; only the
         # completeness check can see that the lowest one is missing.
-        def skipping_eigsh(a, k, **kwargs):
-            values, vectors = np.linalg.eigh(a @ np.eye(a.shape[0]))
-            return values[1 : k + 1], vectors[:, 1 : k + 1]
+        def skipping_lanczos(white, count, start, scale):
+            values, vectors = np.linalg.eigh(white)
+            return values[1 : count + 1], vectors[:, 1 : count + 1]
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
+        monkeypatch.setattr(mvle.linalg, "_lanczos", skipping_lanczos)
         lap, d = sparse_laplacian(np.random.default_rng(42), LANCZOS_MIN_ORDER)
         self.assert_falls_back(lap, d, 6)
 
     def test_inaccurate_pairs_rejected(self, monkeypatch):
         # The lowest pairs with their first two vectors rotated by 1e-4 rad:
         # still orthonormal and complete, but the residuals fail.
-        def rotated_eigsh(a, k, **kwargs):
-            values, vectors = np.linalg.eigh(a @ np.eye(a.shape[0]))
+        def rotated_lanczos(white, count, start, scale):
+            values, vectors = np.linalg.eigh(white)
             c, s = np.cos(1e-4), np.sin(1e-4)
-            vectors = vectors[:, :k].copy()
+            vectors = vectors[:, :count].copy()
             vectors[:, :2] = vectors[:, :2] @ np.array([[c, -s], [s, c]])
-            return values[:k], vectors
+            return values[:count], vectors
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", rotated_eigsh)
+        monkeypatch.setattr(mvle.linalg, "_lanczos", rotated_lanczos)
         lap, d = sparse_laplacian(np.random.default_rng(46), LANCZOS_MIN_ORDER)
         self.assert_falls_back(lap, d, 5)
 
@@ -327,12 +326,12 @@ class TestCertifiedLanczos:
         # The lowest pair twice, then the next ones: every residual is tiny
         # and the lift covers every eigenvalue below the cut, so only the
         # orthonormality check sees that one value is reported twice.
-        def repeating_eigsh(a, k, **kwargs):
-            values, vectors = np.linalg.eigh(a @ np.eye(a.shape[0]))
-            index = np.r_[0, 0 : k - 1]
+        def repeating_lanczos(white, count, start, scale):
+            values, vectors = np.linalg.eigh(white)
+            index = np.r_[0, 0 : count - 1]
             return values[index], vectors[:, index]
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", repeating_eigsh)
+        monkeypatch.setattr(mvle.linalg, "_lanczos", repeating_lanczos)
         lap, d = sparse_laplacian(np.random.default_rng(48), LANCZOS_MIN_ORDER)
         self.assert_falls_back(lap, d, 5)
 
@@ -356,10 +355,10 @@ class TestCertifiedLanczos:
         assert np.count_nonzero(generalized_eig_diag(lap, d).values < 1e-8) == 4
 
     def test_no_convergence_falls_back(self, monkeypatch):
-        def failing_eigsh(a, k, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((a.shape[0], 0)))
+        def failing_lanczos(white, count, start, scale):
+            return None
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+        monkeypatch.setattr(mvle.linalg, "_lanczos", failing_lanczos)
         lap, d = sparse_laplacian(np.random.default_rng(44), LANCZOS_MIN_ORDER)
         self.assert_falls_back(lap, d, 4)
 
@@ -369,25 +368,32 @@ class TestCertifiedLanczos:
             with pytest.raises(ValueError):
                 generalized_eig_diag(lap, d, count=count)
 
-    def test_products_with_the_matrix_stay_off_numpy(self):
-        # ARPACK's steps and the residuals multiply through SciPy's BLAS, so
-        # a matrix whose NumPy products raise is still certified.
-        class NoProducts(np.ndarray):
-            def __matmul__(self, other):
-                raise AssertionError("NumPy product with the matrix")
 
-            __rmatmul__ = dot = __matmul__
-
-        n, count = LANCZOS_MIN_ORDER, 5
-        lap, d = sparse_laplacian(np.random.default_rng(49), n)
-        inv_sqrt = 1.0 / np.sqrt(d)
-        white = lap * np.multiply.outer(inv_sqrt, inv_sqrt)
-        want = np.linalg.eigh(white)[0][:count]
-        found = _certified_lanczos(
-            white.view(NoProducts), count, np.sqrt(d), float(np.abs(white).max())
-        )
-        assert found is not None
-        assert np.abs(found[0] - want).max() < 1e-10
+class TestCholeskyLower:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from([1, 2, _FACTOR_BLOCK - 1, _FACTOR_BLOCK, _FACTOR_BLOCK + 1,
+                               2 * _FACTOR_BLOCK, 2 * _FACTOR_BLOCK + 3])
+        | st.integers(1, 2 * _FACTOR_BLOCK + 8),
+        definite=st.booleans(),
+    )
+    def test_matches_numpy_and_leaves_the_upper_triangle(self, seed, order, definite):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(order, order)))
+        spectrum = rng.uniform(0.5, 2.0, order)
+        if not definite:
+            spectrum[rng.integers(order)] = -0.1
+        a = (q * spectrum) @ q.T
+        # Unrelated values in the strict upper triangle: a factor that read
+        # them would be wrong, and one that wrote them would change their bits.
+        upper = np.triu(rng.normal(size=(order, order)), 1)
+        work = np.tril(a) + upper
+        assert _cholesky_lower(work) is definite
+        assert np.array_equal(np.triu(work, 1).view(np.int64), upper.view(np.int64))
+        if definite:
+            want = np.linalg.cholesky(a)
+            assert np.abs(np.tril(work) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestRidgeSolve:

@@ -15,7 +15,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
@@ -269,10 +268,9 @@ def test_eigensolve_bits_match_the_out_of_place_formulas():
 
 
 def fit_solver(ds, k, dim, min_order=None):
-    """``fit``, the solver its quotient solve took, and whether ARPACK ran;
+    """``fit``, the solver its quotient solve took, and whether Lanczos ran;
     ``min_order`` overrides the Lanczos threshold."""
-    eigsh = scipy.sparse.linalg.eigsh
-    with mock.patch.object(scipy.sparse.linalg, "eigsh", wraps=eigsh) as spy:
+    with mock.patch.object(linalg_mod, "_lanczos", wraps=linalg_mod._lanczos) as spy:
         if min_order is not None:
             with mock.patch.object(linalg_mod, "LANCZOS_MIN_ORDER", min_order):
                 emb, art = fit(ds, k, dim)
