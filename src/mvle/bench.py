@@ -9,15 +9,18 @@ classifier still train per width (MHON's default ``h1`` depends on ``dim``).
 
 A pass runs in two phases: first every repeat's split and every fit, then
 every scoring. The MvDA and CCA+LDA eigensolves run in SciPy
-(``linalg._top_generalized``), and SciPy ships its own OpenBLAS with its
-own thread pool. Those threads keep spinning for a while after each call,
-and the small NumPy ridge solves of the classifiers run slower beside them
-on a machine with few cores. Fitting first puts every SciPy call of the
-pass in one burst instead of one per repeat: on 2 vCPUs a default pass took
-0.32-0.40 s so, against 0.53-0.59 s when each repeat was fitted and then
-scored (in-process, median of 6 at each of split seeds 7, 8 and 9, in
-three processes). Each classifier seeds its own generator from the
-repeat's split seed, so the order changes no result.
+(``linalg._top_generalized``), whose OpenBLAS has a thread pool apart from
+NumPy's. The package loads it with a short thread timeout, so its workers
+no longer spin after each call (see ``mvle.linalg``), but NumPy's keep
+OpenBLAS's default, and switching between the two pools once per pass
+rather than once per repeat is still a little faster on few cores. On 2
+vCPUs, in-process, a default pass at split seed 7 took 0.261-0.266 s so,
+against 0.270-0.274 s when each repeat was fitted and then scored (medians
+of two sets of 10 alternating pairs; a third set of 20 had the one loop
+slower in 16, median ratio 1.07); at split seeds 0, 1, 2 and 23 the two
+orders were within 3%, and on one OpenBLAS thread they tie. Each classifier
+seeds its own generator from the repeat's split seed, so the order changes
+no result.
 """
 
 from __future__ import annotations

@@ -32,7 +32,15 @@ The package's one SciPy user is ``_top_generalized``, the ridged generalized
 eigensolve of the linear baselines (LDA, the LDA stage of CCA+LDA, MvDA),
 which calls LAPACK's generalized symmetric driver through
 ``scipy.linalg.eigh`` and imports SciPy inside its body, so only
-``benchmark`` loads it.
+``benchmark`` loads it. SciPy's OpenBLAS keeps a thread pool of its own,
+whose workers by default busy-wait about 2^28 cycles after every call: on 2
+vCPUs they burned 0.13 s of CPU in a 0.3 s sleep after one order-35 solve,
+time taken from NumPy's ridge solves beside them. That OpenBLAS reads
+``OPENBLAS_THREAD_TIMEOUT`` once, when it is loaded, so the first import
+sets it to 4 (workers sleep after 2^4 cycles) for the import alone, unless
+the user has set it or ``GOTO_THREAD_TIMEOUT``. NumPy's OpenBLAS, loaded
+before, keeps its own timeout, and no routine, input or thread count
+changes.
 
 Tolerances are fixed module-wide: inputs are validated at 1e-10
 (relative), results are certified at 1e-8.
@@ -40,6 +48,8 @@ Tolerances are fixed module-wide: inputs are validated at 1e-10
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +98,10 @@ _FACTOR_BLOCK = 256
 _RITZ_TOL = 1e-14
 _CHECK_STEPS = 10
 _LANCZOS_STEPS = 500
+# SciPy's OpenBLAS: log2 of the cycles a worker waits for work before it
+# sleeps, and the variables through which a user sets that wait.
+_SCIPY_THREAD_TIMEOUT = "4"
+_THREAD_TIMEOUT_VARS = frozenset({"OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT"})
 
 
 @dataclass(frozen=True)
@@ -441,7 +455,14 @@ def _top_generalized(numer: np.ndarray, denom: np.ndarray, dim: int) -> np.ndarr
     reg = SCATTER_REG * np.trace(denom) / d
     denom_reg = denom + reg * np.eye(d)
     # Imported here, so that only the commands that fit a baseline pay the
-    # 0.3 s that loading SciPy takes.
+    # 0.14-0.24 s that loading SciPy takes. Its OpenBLAS reads the thread
+    # timeout when it is loaded (see the module docstring).
+    if "scipy.linalg" not in sys.modules and not _THREAD_TIMEOUT_VARS & os.environ.keys():
+        os.environ["OPENBLAS_THREAD_TIMEOUT"] = _SCIPY_THREAD_TIMEOUT
+        try:
+            import scipy.linalg
+        finally:
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
     import scipy.linalg
 
     try:

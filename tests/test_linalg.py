@@ -5,6 +5,11 @@ reconstruction, a nonsymmetric dense solve, finite differences) rather
 than re-calling the code under test.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -458,3 +463,70 @@ class TestRidgeSolve:
         for lam in (-1.0, 0.0, float("nan")):
             with pytest.raises(ValueError):
                 ridge_solve(np.eye(2), np.eye(2), lam)
+
+
+THREAD_TIMEOUT_VARS = ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")
+
+
+def run_fresh(script: str, **env_vars) -> dict:
+    """Run ``script`` in a fresh interpreter whose environment has neither
+    OpenBLAS timeout variable except as ``env_vars`` sets it; its last
+    stdout line, read as JSON.
+
+    The test process has loaded ``scipy.linalg`` already, so what happens
+    when it is first loaded shows only in a new one.
+    """
+    src = os.path.dirname(os.path.dirname(mvle.linalg.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_TIMEOUT_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(env_vars)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestScipyThreadTimeout:
+    """SciPy's OpenBLAS is loaded with a short thread timeout, and the
+    environment is left as it was."""
+
+    @pytest.mark.parametrize("user", [
+        {}, {"OPENBLAS_THREAD_TIMEOUT": "28"}, {"GOTO_THREAD_TIMEOUT": "28"},
+    ])
+    def test_set_for_the_first_import_only(self, user):
+        seen = run_fresh(
+            "import importlib.abc, json, os, sys\n"
+            f"VARS = {THREAD_TIMEOUT_VARS!r}\n"
+            "seen = []\n"
+            "class Probe(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name == 'scipy.linalg' and not seen:\n"
+            "            seen.append({v: os.environ.get(v) for v in VARS})\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "from mvle.baselines import mvda_fit\n"
+            "from mvle.dataset import SyntheticSpec, gen_synthetic\n"
+            "ds = gen_synthetic(SyntheticSpec(samples_per_class=8))\n"
+            "before = dict(os.environ)\n"
+            "mvda_fit(ds, 2)\n"
+            "print(json.dumps({'seen': seen, 'restored': dict(os.environ) == before}))\n",
+            **user,
+        )
+        want = dict.fromkeys(THREAD_TIMEOUT_VARS)
+        want.update(user or {"OPENBLAS_THREAD_TIMEOUT": "4"})
+        assert seen == {"seen": [want], "restored": True}
+
+    def test_workers_sleep_after_a_solve(self):
+        # With OpenBLAS's default timeout, SciPy's workers spun through
+        # 0.13 s of this sleep on 2 threads; on one thread there are none.
+        cpu = run_fresh(
+            "import json, time\n"
+            "import numpy as np\n"
+            "from mvle.linalg import _top_generalized\n"
+            "rng = np.random.default_rng(0)\n"
+            "a, b = rng.normal(size=(35, 35)), rng.normal(size=(35, 70))\n"
+            "_top_generalized(a @ a.T, b @ b.T, 4)\n"
+            "start = time.process_time()\n"
+            "time.sleep(0.3)\n"
+            "print(json.dumps(time.process_time() - start))\n"
+        )
+        assert cpu < 0.02
